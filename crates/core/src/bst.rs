@@ -267,7 +267,11 @@ impl Bst {
                 }
                 val = self.value_at(rec.leaf);
                 // Injection: flag the edge — the durable linearization
-                // point of the remove.
+                // point of the remove. Recovery completes a durable flag
+                // by splicing out the parent and the leaf, so both pages
+                // are covered first (§5.5).
+                ctx.prepare_unlink(rec.leaf);
+                ctx.prepare_unlink(rec.parent);
                 match self.ops.link_cas(
                     key,
                     parent_edge,
@@ -336,10 +340,13 @@ impl Bst {
         let sib_w = self.ops.load(sibling_edge);
         // Splice: ancestor edge successor -> sibling child; the tag (and
         // any dirty bit) is stripped, a flag on the moved-up leaf is kept.
+        // The chain it removes is frozen by tags and flags: cover its
+        // pages before the splice can become durable.
         let new_w = bare(sib_w) | (sib_w & DELETED);
+        self.walk_chain(rec.successor, addr_of(sib_w), |n| ctx.prepare_unlink(n));
         match self.ops.link_cas(key, succ_edge, rec.successor as u64, new_w, &mut ctx.flusher) {
             CasOutcome::Ok => {
-                self.retire_chain(ctx, rec.successor, addr_of(sib_w));
+                self.walk_chain(rec.successor, addr_of(sib_w), |n| ctx.retire(n));
                 true
             }
             CasOutcome::Retry => {
@@ -350,11 +357,11 @@ impl Bst {
         }
     }
 
-    /// Retires the spliced-out chain: every internal node from `successor`
+    /// Visits the spliced-out chain: every internal node from `successor`
     /// along tagged edges, plus each flagged (deleted) leaf hanging off
     /// it, stopping at the moved-up child. Defensive bounds make this leak
     /// (never corrupt) under pathological interleavings.
-    fn retire_chain(&self, ctx: &mut ThreadCtx, successor: usize, moved_up: usize) {
+    fn walk_chain(&self, successor: usize, moved_up: usize, mut visit: impl FnMut(usize)) {
         let mut node = successor;
         for _ in 0..128 {
             if node == moved_up || node == 0 {
@@ -363,11 +370,11 @@ impl Bst {
             let lw = self.ops.load(node + LEFT_OFF);
             let rw = self.ops.load(node + RIGHT_OFF);
             if addr_of(lw) == 0 && addr_of(rw) == 0 {
-                // A leaf mid-chain: shouldn't happen; retire and stop.
-                ctx.retire(node);
+                // A leaf mid-chain: shouldn't happen; visit and stop.
+                visit(node);
                 return;
             }
-            ctx.retire(node);
+            visit(node);
             let (follow, other) = if is_tagged(lw) && !is_tagged(rw) {
                 (lw, rw)
             } else if is_tagged(rw) && !is_tagged(lw) {
@@ -378,7 +385,7 @@ impl Bst {
                 return;
             };
             if is_deleted(other) && !is_tagged(other) && addr_of(other) != 0 {
-                ctx.retire(addr_of(other));
+                visit(addr_of(other));
             }
             node = addr_of(follow);
         }

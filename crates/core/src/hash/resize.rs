@@ -210,8 +210,10 @@ impl HashTable {
                     return Err(oom);
                 }
             }
-            // Copy durable before the delete can be (same-key scan).
+            // Copy durable before the delete can be (same-key scan), and
+            // the node's page covered before recovery can drop it.
             self.ops.scan(key, &mut ctx.flusher);
+            ctx.prepare_unlink(node);
             match self.ops.link_cas(key, nw_addr, cw, cw | DELETED, &mut ctx.flusher) {
                 // Our claimed node's successor was unlinked under us;
                 // re-search (the claim survives address changes).

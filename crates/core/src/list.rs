@@ -120,8 +120,9 @@ pub(crate) struct Found {
 
 /// Harris search with durable cleanup: finds the first node with
 /// key >= `key`, physically unlinking logically deleted nodes on the way
-/// (each unlink is itself a durable link update, and the unlinker retires
-/// the node). On return, the adjacent edges are durable (§3 rule 2).
+/// (each unlink is itself a durable link update; the unlinker marks the
+/// node's page active before it and retires the node after it). On
+/// return, the adjacent edges are durable (§3 rule 2).
 pub(crate) fn search(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64) -> Found {
     'retry: loop {
         let hw = ops.load(head_link);
@@ -157,6 +158,9 @@ pub(crate) fn search(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: 
                 if bare(observed) != curr as u64 || is_deleted(observed) {
                     continue 'retry;
                 }
+                // The unlink may be the one that makes the removal
+                // durable: cover the node's page first (§5.5).
+                ctx.prepare_unlink(curr);
                 match ops.link_cas(
                     key_at(ops, curr),
                     pred_link,
@@ -285,7 +289,9 @@ pub(crate) fn remove(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: 
             return Removed::Migrated;
         }
         // Logical deletion: the linearization point, made durable by
-        // link-and-persist / the link cache.
+        // link-and-persist / the link cache. Once the mark is durable,
+        // recovery drops the node, so its page is covered first (§5.5).
+        ctx.prepare_unlink(f.curr);
         match ops.link_cas(key, next_addr(f.curr), next_w, next_w | DELETED, &mut ctx.flusher) {
             CasOutcome::Retry => continue,
             CasOutcome::Ok => {

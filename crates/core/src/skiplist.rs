@@ -167,6 +167,7 @@ impl SkipList {
                             if bare(pw) != curr as u64 || is_deleted(pw) {
                                 continue 'retry;
                             }
+                            ctx.prepare_unlink(curr);
                             match self.ops.link_cas(
                                 self.key_at(curr),
                                 tower(pred, 0),
@@ -363,6 +364,8 @@ impl SkipList {
             if is_deleted(w) {
                 return None; // another remover linearized first
             }
+            // Recovery drops a durably marked node: cover its page first.
+            ctx.prepare_unlink(node);
             match self.ops.link_cas(key, tower(node, 0), w, w | DELETED, &mut ctx.flusher) {
                 CasOutcome::Ok => {
                     let val = self.value_at(node);

@@ -24,8 +24,9 @@
 //!
 //! Generic [`target::CrashTarget`] drivers cover all four log-free
 //! structures plus `NvMemcached`, in single-threaded exhaustive mode
-//! ([`driver::run_crash_points`]) and multi-threaded quiesce-and-crash
-//! mode ([`driver::run_torture`]).
+//! ([`driver::run_crash_points`]), on a freshly recovered image
+//! ([`recovered::run_recovered_remove_points`]) and in multi-threaded
+//! quiesce-and-crash mode ([`driver::run_torture`]).
 //!
 //! # Reproducing a failure
 //!
@@ -40,6 +41,7 @@
 
 pub mod driver;
 pub mod oracle;
+pub mod recovered;
 pub mod reshard;
 pub mod sharded;
 pub mod target;
@@ -50,6 +52,7 @@ pub use driver::{
     TortureReport,
 };
 pub use oracle::{OracleConfig, Violation};
+pub use recovered::run_recovered_remove_points;
 pub use reshard::{
     count_reshard_events, reshard_crash_at, run_reshard_crash_points, RESHARD_FROM,
     RESHARD_STEP_EVERY, RESHARD_TO,

@@ -8,9 +8,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crashtest::{
-    count_events, count_sharded_events, run_crash_points, run_sharded_crash_points, run_torture,
-    seed_from_env, BstTarget, CrashConfig, CrashTarget, HashTarget, ListTarget, MemcachedTarget,
-    OpMix, ResizeTarget, SkipTarget, TortureConfig, TraceOp,
+    count_events, count_sharded_events, run_crash_points, run_recovered_remove_points,
+    run_sharded_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig, CrashTarget,
+    HashTarget, ListTarget, MemcachedTarget, OpMix, ResizeTarget, SkipTarget, TortureConfig,
+    TraceOp,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use pmem::PmemPool;
@@ -166,6 +167,24 @@ fn tlab_lease_events_cover_all_targets() {
     assert!(lease(&count_events::<BstTarget>(&c).0) > 0, "bst");
     assert!(lease(&count_events::<MemcachedTarget>(&c).0) > 0, "memcached");
     assert!(lease(&count_sharded_events(&c, 3).0) > 0, "sharded cache");
+}
+
+/// Removals on a freshly recovered image, where recovery has cleared
+/// every APT row: each structure must cover a node's page before its
+/// removal becomes durable, or a crash right after leaks the node.
+#[test]
+fn removals_on_a_recovered_image_survive_every_crash_point() {
+    let seed = seed_from_env();
+    for report in [
+        run_recovered_remove_points::<ListTarget>(seed),
+        run_recovered_remove_points::<HashTarget>(seed),
+        run_recovered_remove_points::<SkipTarget>(seed),
+        run_recovered_remove_points::<BstTarget>(seed),
+        run_recovered_remove_points::<MemcachedTarget>(seed),
+    ] {
+        assert!(report.event_kinds.2 > 0, "{}: no link publishes", report.target);
+        report.assert_clean();
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //!   [`NvDomain::recover_leaks`] frees allocated-but-unreachable nodes
 //!   using the membership oracle provided by the data structure (§5.5).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -19,8 +19,11 @@ use pmem::{CrashEvent, Flusher, PmemPool};
 
 use crate::apt::{self, ActivePageTable, Activity, AptStats};
 use crate::epoch::{EpochManager, EpochVector};
-use crate::heap::{class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, N_CLASSES};
-use crate::tlab::{self, Tlab};
+use crate::heap::{
+    class_of, page_of, reaches_relist, relist_at, slots_in_class, NvHeap, OutOfMemory, PageHeader,
+    N_CLASSES,
+};
+use crate::tlab::Tlab;
 
 /// Retired nodes are sealed into a generation once this many accumulate.
 pub const GENERATION_SIZE: usize = 64;
@@ -143,7 +146,7 @@ impl NvDomain {
                 if !reachable(addr) {
                     let prev = PageHeader::clear(&self.pool, page, i);
                     report.leaks_freed += 1;
-                    if prev == full_mask(class) {
+                    if reaches_relist(prev, class) {
                         self.heap.release_page(page, class);
                     }
                 }
@@ -173,7 +176,7 @@ impl NvDomain {
                 if !reachable(addr) {
                     let prev = PageHeader::clear(&self.pool, page, i);
                     report.leaks_freed += 1;
-                    if prev == full_mask(class) {
+                    if reaches_relist(prev, class) {
                         self.heap.release_page(page, class);
                     }
                     flusher.clwb(page);
@@ -210,10 +213,6 @@ impl NvDomain {
     }
 }
 
-fn full_mask(class: usize) -> u64 {
-    (1u64 << slots_in_class(class)) - 1
-}
-
 /// Outcome of a leak-recovery pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -239,8 +238,10 @@ impl RecoveryReport {
     }
 }
 
-/// Callback run after an APT trim writes back evicted entries (the link
-/// cache registers its flush here so trimmed pages stay durable).
+/// Callback run before an APT trim and before reclamation frees a batch
+/// of retired nodes. The link cache registers its flush here: a trimmed
+/// page must not hold a node whose link is still cached, and a freed slot
+/// must not be reused while the unlink that retired it is still cached.
 pub type TrimHook = Box<dyn FnMut(&mut Flusher) + Send>;
 
 /// Per-thread operation context: allocation, retirement, epochs and the
@@ -322,11 +323,20 @@ impl ThreadCtx {
         self.domain.pool.clone_ref()
     }
 
-    /// Installs a hook run before an APT trim. The log-free structures use
-    /// this to flush their link cache (§5.4 requires that no cached link
-    /// refer to a page being trimmed).
+    /// Installs a hook run before an APT trim and before reclamation frees
+    /// retired nodes. The log-free structures use this to flush their link
+    /// cache (§5.4 requires that no cached link refer to a page being
+    /// trimmed; a cached unlink must be durable before its node's slot
+    /// can be reused).
     pub fn set_trim_hook(&mut self, hook: TrimHook) {
         self.trim_hook = Some(hook);
+    }
+
+    fn run_trim_hook(&mut self) {
+        if let Some(mut hook) = self.trim_hook.take() {
+            hook(&mut self.flusher);
+            self.trim_hook = Some(hook);
+        }
     }
 
     /// Marks the start of a data-structure operation.
@@ -386,8 +396,8 @@ impl ThreadCtx {
     /// and persist the contents before publishing a link to it.
     ///
     /// With TLABs enabled (the default under [`MemMode::NvEpochs`]) the
-    /// hot path is a private bump through a durably-leased run of slots —
-    /// no bitmap probe, no APT lookup, no shared-list touch (see
+    /// hot path pops a slot off a durably-leased page's free mask — no
+    /// bitmap probe, no APT lookup, no shared-list touch (see
     /// [`crate::tlab`]). With TLABs disabled the original shared-page
     /// path runs, now with a next-free cursor instead of an O(slots)
     /// rescan.
@@ -400,25 +410,23 @@ impl ThreadCtx {
         }
     }
 
-    /// TLAB fast path: bump the lease; refill when exhausted.
+    /// TLAB fast path: pop a leased slot; refill when exhausted.
     fn alloc_tlab(&mut self, class: usize) -> Result<usize, OutOfMemory> {
-        let pool = Arc::clone(&self.domain.pool);
         let mut refilled = false;
         loop {
-            while self.tlabs[class].has_room() {
-                let t = self.tlabs[class];
-                self.tlabs[class].next = t.next + 1;
-                if PageHeader::try_set(&pool, t.page, t.next) {
+            let page = self.tlabs[class].page;
+            while let Some(slot) = self.tlabs[class].pop() {
+                if PageHeader::try_set(&self.domain.pool, page, slot) {
                     if refilled {
                         self.tlab_misses += 1;
                     } else {
                         self.tlab_hits += 1;
                     }
-                    self.flusher.clwb(t.page); // bitmap write-back, no wait
-                    return Ok(PageHeader::slot_addr(t.page, class, t.next));
+                    self.flusher.clwb(page); // bitmap write-back, no wait
+                    return Ok(PageHeader::slot_addr(page, class, slot));
                 }
                 // A racing lease on a doubly-listed page took this slot:
-                // skip it and keep bumping (try_set arbitrates, exactly as
+                // skip it and keep popping (try_set arbitrates, exactly as
                 // on the shared path).
             }
             refilled = true;
@@ -442,8 +450,9 @@ impl ThreadCtx {
             let Some(slot) = PageHeader::find_free_at(&pool, page, class, self.find_cursor[class])
             else {
                 // Page is full: drop it. It becomes "floating" and is
-                // re-adopted through the shared reusable list when a free
-                // makes space in it (see `free_slot`).
+                // re-adopted through the shared reusable list once frees
+                // bring it back to `relist_at` free slots (see
+                // `free_slot`).
                 self.cur_page[class] = None;
                 self.find_cursor[class] = 0;
                 continue;
@@ -465,31 +474,24 @@ impl ThreadCtx {
     }
 
     /// Publishes a fresh lease for `class`: parks the old one, acquires a
-    /// page, picks its longest free run and durably records the lease word
-    /// before any slot of the run is marked allocated.
+    /// page, takes every slot it has free and durably records the lease
+    /// word before any leased slot is marked allocated.
     fn refill_tlab(&mut self, class: usize) -> Result<(), OutOfMemory> {
         self.flusher.note_crash_event(CrashEvent::TlabLease);
         self.park_tlab(class);
-        let (page, start, len) = loop {
-            let page = match self.domain.heap.acquire_page(class, &mut self.flusher) {
-                Ok(p) => p,
-                Err(OutOfMemory) => {
-                    // OOM pressure: hand every unused remainder back to the
-                    // shared lists and retry once.
-                    self.retire_tlabs();
-                    self.domain.heap.acquire_page(class, &mut self.flusher)?
-                }
-            };
-            match PageHeader::find_run(&self.domain.pool, page, class) {
-                Some((start, len)) => break (page, start, len),
-                // A duplicate listing let another thread fill this page
-                // since it was released; its next freer will relist it.
-                None => continue,
+        let lease = loop {
+            let page = self.domain.heap.acquire_page(class, &mut self.flusher)?;
+            let free = PageHeader::free_mask(&self.domain.pool, page, class);
+            if free != 0 {
+                break Tlab { page, free };
             }
+            // A duplicate listing let another thread fill this page since
+            // it was released; frees relist it once it reaches the
+            // threshold again.
         };
+        let page = lease.page;
         let slot = apt::lease_slot(&self.domain.pool, self.tid, class);
-        let word = tlab::encode_lease(page, start, start + len);
-        self.domain.pool.atomic_u64(slot).store(word, Ordering::Release);
+        self.domain.pool.atomic_u64(slot).store(lease.word(), Ordering::Release);
         self.flusher.clwb(slot);
         // Figure-4 ordering at lease granularity: the page is durably
         // covered before any slot bit is set. An APT miss persists its
@@ -497,15 +499,16 @@ impl ThreadCtx {
         // page's header; on a hit the page is already durably in the APT
         // and the lease word rides the next fence.
         self.mark_active(page, Activity::Alloc);
-        self.tlabs[class] = Tlab { page, next: start, end: start + len };
+        self.tlabs[class] = lease;
         self.tlab_refills += 1;
         Ok(())
     }
 
     /// Drops the volatile lease for `class` and returns its page to the
-    /// shared reusable list if it still has free capacity. The durable
-    /// lease word is left to the caller (refill overwrites it; retire
-    /// clears it lazily).
+    /// shared reusable list if it still has at least `relist_at` free
+    /// slots; otherwise the page floats until frees bring it there. The
+    /// durable lease word is left to the caller (refill overwrites it;
+    /// retire clears it lazily).
     fn park_tlab(&mut self, class: usize) {
         let t = self.tlabs[class];
         if t.page == 0 {
@@ -516,14 +519,15 @@ impl ThreadCtx {
         // so without this a trim during the current operation could evict
         // the page while this op's bitmap write-backs are still unfenced.
         self.mark_active(t.page, Activity::Alloc);
-        if PageHeader::find_free(&self.domain.pool, t.page, class).is_some() {
+        let free = PageHeader::free_mask(&self.domain.pool, t.page, class).count_ones() as usize;
+        if free >= relist_at(class) {
             self.domain.heap.release_page(t.page, class);
         }
     }
 
     /// Parks every live lease and lazily clears its durable word (a stale
     /// lease word is safe — it only widens the recovery scan). Runs on
-    /// `seal_generation`, thread drop, OOM pressure and mode switches.
+    /// `seal_generation`, thread drop and mode switches.
     fn retire_tlabs(&mut self) {
         for class in 0..N_CLASSES {
             if self.tlabs[class].page == 0 {
@@ -544,10 +548,21 @@ impl ThreadCtx {
         self.free_slot(addr);
     }
 
+    /// Durably marks the page of `addr` active ([`Activity::Unlink`])
+    /// before the caller makes the node's removal durable — the deletion
+    /// mark of a remove, or a helper's physical unlink. Once the removal
+    /// is durable, recovery drops the node from the structure, so its page
+    /// must already be in the recovery scan set or the node leaks. Usually
+    /// an APT hit (§5.1's deallocation locality).
+    pub fn prepare_unlink(&mut self, addr: usize) {
+        self.mark_active(page_of(addr), Activity::Unlink);
+    }
+
     /// Retires a node that has been durably unlinked from the structure.
     /// The node is freed once no concurrent operation can still hold a
-    /// reference (§5.2). Durably marks the node's page active first —
-    /// usually a hit (§5.1's deallocation locality).
+    /// reference (§5.2). Also marks the node's page active: a hit after
+    /// [`Self::prepare_unlink`], and the only mark for structures that
+    /// unlink under a lock (the log-based baselines).
     pub fn retire(&mut self, addr: usize) {
         self.mark_active(page_of(addr), Activity::Unlink);
         if self.mem_mode == MemMode::IntentLog {
@@ -591,9 +606,14 @@ impl ThreadCtx {
     /// [`Self::end_op`]; exposed for tests and shutdown.
     pub fn try_collect(&mut self) -> usize {
         let mut freed = 0;
+        let mut flushed = false;
         while let Some(gen) = self.pending.front() {
             if !self.domain.epochs.has_advanced(&gen.snapshot) {
                 break;
+            }
+            if !flushed {
+                self.run_trim_hook();
+                flushed = true;
             }
             let gen = self.pending.pop_front().expect("non-empty pending queue");
             for addr in gen.nodes {
@@ -614,6 +634,7 @@ impl ThreadCtx {
     /// thread is running operations (shutdown/tests).
     pub fn drain_all(&mut self) -> usize {
         self.seal_generation();
+        self.run_trim_hook();
         let mut freed = 0;
         while let Some(gen) = self.pending.pop_front() {
             for addr in gen.nodes {
@@ -641,12 +662,13 @@ impl ThreadCtx {
         if self.cur_page[class] == Some(page) && slot < self.find_cursor[class] {
             self.find_cursor[class] = slot;
         }
-        // Full -> non-full transition: exactly one freer observes it and
-        // hands the floating page back for reuse. (An actively leased
-        // page can only be full through a racing duplicate lease, in
-        // which case relisting it is exactly what the bumping owner
-        // needs.)
-        if prev == full_mask(class) && self.cur_page[class] != Some(page) {
+        // The free that brings a floating page back to `relist_at` free
+        // slots hands it back for reuse (exactly one freer observes the
+        // transition). The thread's own current page is not floating.
+        if reaches_relist(prev, class)
+            && self.cur_page[class] != Some(page)
+            && self.tlabs[class].page != page
+        {
             self.domain.heap.release_page(page, class);
         }
     }
@@ -668,30 +690,21 @@ impl ThreadCtx {
     }
 
     fn trim_apt(&mut self) -> usize {
-        if let Some(mut hook) = self.trim_hook.take() {
-            hook(&mut self.flusher);
-            self.trim_hook = Some(hook);
-        }
-        // A page is settled when none of this thread's not-yet-freed
-        // retirements belong to it, and it is not one of the thread's
-        // current allocation pages (those are in continuous use; evicting
-        // them would turn every allocation into an APT miss).
-        let open = &self.open_gen;
-        let pending = &self.pending;
-        let cur_page = &self.cur_page;
-        let tlabs = &self.tlabs;
-        let cur_epoch = self.cur_epoch;
-        let apt = &mut self.apt;
-        apt.trim(
-            cur_epoch,
-            |page| {
-                !cur_page.contains(&Some(page))
-                    && !tlabs.iter().any(|t| t.page == page)
-                    && !open.iter().any(|&a| page_of(a) == page)
-                    && !pending.iter().any(|g| g.nodes.iter().any(|&a| page_of(a) == page))
-            },
-            &mut self.flusher,
-        )
+        self.run_trim_hook();
+        let busy = self.busy_pages();
+        self.apt.trim(self.cur_epoch, |page| !busy.contains(&page), &mut self.flusher)
+    }
+
+    /// Pages whose APT entries a trim must keep: those holding any of this
+    /// thread's not-yet-freed retirements, and the thread's current
+    /// allocation pages (in continuous use; evicting them would turn every
+    /// allocation into an APT miss). Built once per trim, so the trim is
+    /// O(entries + retirements) rather than their product.
+    fn busy_pages(&self) -> HashSet<usize> {
+        let retired = self.pending.iter().flat_map(|g| &g.nodes).chain(&self.open_gen);
+        let current = self.cur_page.iter().flatten().copied();
+        let leased = self.tlabs.iter().map(|t| t.page).filter(|&p| p != 0);
+        retired.map(|&a| page_of(a)).chain(current).chain(leased).collect()
     }
 }
 
@@ -796,6 +809,8 @@ mod tests {
 
     #[test]
     fn full_page_floats_and_returns_on_free() {
+        // A full page floats until `relist_at` of its slots are free, then
+        // the owner's next refill re-adopts it.
         let d = domain();
         let mut ctx = d.register();
         ctx.begin_op();
@@ -807,9 +822,12 @@ mod tests {
         let far = ctx.alloc(64).unwrap();
         assert_ne!(page_of(far), page);
         ctx.end_op();
-        // Free one node from the full page; the page must become reusable.
+        // Free `relist_at` nodes from the full page; it must become
+        // reusable.
         ctx.begin_op();
-        ctx.retire(nodes[3]);
+        for &a in nodes.iter().step_by(4).take(relist_at(0)) {
+            ctx.retire(a);
+        }
         ctx.seal_generation();
         ctx.end_op();
         ctx.begin_op();
@@ -825,7 +843,179 @@ mod tests {
             }
         }
         ctx.end_op();
-        assert!(seen_old_page, "freed slot in floating page was reused");
+        assert!(seen_old_page, "freed slots in floating page were reused");
+    }
+
+    /// Fills one class-0 page on `ctx` and moves its lease to a second
+    /// page, so the first page floats. Returns the first page's nodes.
+    fn fill_a_page(ctx: &mut ThreadCtx) -> Vec<usize> {
+        ctx.begin_op();
+        let nodes: Vec<usize> = (0..slots_in_class(0)).map(|_| ctx.alloc(64).unwrap()).collect();
+        let next = ctx.alloc(64).unwrap();
+        ctx.end_op();
+        assert_ne!(page_of(next), page_of(nodes[0]));
+        nodes
+    }
+
+    #[test]
+    fn lease_takes_non_contiguous_free_slots() {
+        let d = domain();
+        let mut owner = d.register();
+        let nodes = fill_a_page(&mut owner);
+        // Free every fourth slot: 16 scattered slots, past the threshold.
+        let freed: Vec<usize> = nodes.iter().copied().step_by(4).collect();
+        assert!(freed.len() >= relist_at(0));
+        for &a in &freed {
+            owner.dealloc_unlinked(a);
+        }
+        // One refill leases all of them, lowest first.
+        let mut other = d.register();
+        other.begin_op();
+        let got: Vec<usize> = (0..freed.len()).map(|_| other.alloc(64).unwrap()).collect();
+        other.end_op();
+        assert_eq!(got, freed);
+        let s = other.apt_stats();
+        assert_eq!((s.tlab_refills, s.tlab_misses, s.tlab_hits), (1, 1, freed.len() as u64 - 1));
+    }
+
+    #[test]
+    fn floating_page_relists_at_the_threshold() {
+        let d = domain();
+        let mut owner = d.register();
+        let nodes = fill_a_page(&mut owner);
+        let page = page_of(nodes[0]);
+        let k = relist_at(0);
+        for &a in &nodes[..k - 1] {
+            owner.dealloc_unlinked(a);
+        }
+        let mut probe = d.register();
+        probe.begin_op();
+        assert_ne!(page_of(probe.alloc(64).unwrap()), page, "K-1 free slots stay floating");
+        probe.end_op();
+        owner.dealloc_unlinked(nodes[k - 1]);
+        let mut probe = d.register();
+        probe.begin_op();
+        assert_eq!(page_of(probe.alloc(64).unwrap()), page, "the K-th free relists the page");
+        probe.end_op();
+    }
+
+    #[test]
+    fn park_relists_only_at_the_threshold() {
+        let n = slots_in_class(0);
+        let k = relist_at(0);
+        for (left, relisted) in [(k - 1, false), (k, true)] {
+            let d = domain();
+            let mut owner = d.register();
+            owner.begin_op();
+            let first = owner.alloc(64).unwrap();
+            for _ in 1..n - left {
+                owner.alloc(64).unwrap();
+            }
+            owner.end_op();
+            owner.set_tlab_enabled(false); // parks the lease
+            let mut probe = d.register();
+            probe.begin_op();
+            let a = probe.alloc(64).unwrap();
+            probe.end_op();
+            assert_eq!(page_of(a) == page_of(first), relisted, "{left} free slots at park");
+        }
+    }
+
+    #[test]
+    fn floating_slots_are_allocatable_when_the_heap_is_dry() {
+        for tlab in [true, false] {
+            let pool = PoolBuilder::new(2 << 20).mode(Mode::Perf).build();
+            let d = NvDomain::create(pool);
+            let mut ctx = d.register();
+            ctx.set_tlab_enabled(tlab);
+            ctx.begin_op();
+            let mut live = Vec::new();
+            while let Ok(a) = ctx.alloc(64) {
+                live.push(a);
+            }
+            // One to three free slots in each of several full pages: all
+            // below the threshold, so every one of those pages floats.
+            let freed: Vec<usize> = live.iter().copied().step_by(50).collect();
+            for &a in &freed {
+                ctx.dealloc_unlinked(a);
+            }
+            let mut again: Vec<usize> =
+                freed.iter().map(|_| ctx.alloc(64).expect("no false OOM")).collect();
+            assert_eq!(ctx.alloc(64), Err(OutOfMemory), "tlab={tlab}: heap is full again");
+            ctx.end_op();
+            again.sort_unstable();
+            assert_eq!(again, freed, "tlab={tlab}");
+        }
+    }
+
+    #[test]
+    fn churn_at_capacity_hits_the_lease() {
+        // A cache at capacity: every insert evicts a random live node, so
+        // frees land all over the heap. Leases must still serve most
+        // allocations without a refill.
+        let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).build();
+        let d = NvDomain::create(pool);
+        let mut ctx = d.register();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut live: Vec<usize> = Vec::new();
+        for i in 0..60_000 {
+            if i == 20_000 {
+                ctx.reset_stats();
+            }
+            ctx.begin_op();
+            live.push(ctx.alloc(64).unwrap());
+            if live.len() > 4_000 {
+                let victim = live.swap_remove(next() as usize % live.len());
+                ctx.retire(victim);
+            }
+            ctx.end_op();
+        }
+        let s = ctx.apt_stats();
+        assert!(s.tlab_hit_rate() >= 0.8, "tlab hit ratio {:.3}", s.tlab_hit_rate());
+    }
+
+    #[test]
+    fn trim_keeps_exactly_the_busy_pages() {
+        // The trim predicate builds its page set once; it must keep the
+        // same entries as the direct scan of the retirement lists.
+        let d = domain();
+        let mut ctx = d.register();
+        let mut blocker = d.register();
+        ctx.set_tlab_enabled(false);
+        ctx.begin_op();
+        let nodes: Vec<usize> = (0..600).map(|_| ctx.alloc(256).unwrap()).collect();
+        ctx.end_op();
+        blocker.begin_op(); // holds every generation sealed below
+                            // Retire from the first half of the pages only.
+        for (i, &a) in nodes.iter().enumerate().filter(|(i, _)| i % 7 == 0 && *i < 290) {
+            ctx.begin_op();
+            ctx.retire(a);
+            if i % 3 == 0 {
+                ctx.seal_generation();
+            }
+            ctx.end_op();
+        }
+        assert!(!ctx.pending.is_empty() && !ctx.open_gen.is_empty());
+        let settled = |page: usize| {
+            !ctx.cur_page.contains(&Some(page))
+                && !ctx.tlabs.iter().any(|t| t.page == page)
+                && !ctx.open_gen.iter().any(|&a| page_of(a) == page)
+                && !ctx.pending.iter().any(|g| g.nodes.iter().any(|&a| page_of(a) == page))
+        };
+        let mut expect: Vec<usize> = ctx.apt.pages().into_iter().filter(|&p| !settled(p)).collect();
+        assert!(!expect.is_empty() && expect.len() < ctx.apt.len(), "a mix of entries");
+        ctx.trim_apt();
+        let mut kept = ctx.apt.pages();
+        kept.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(kept, expect);
+        blocker.end_op();
     }
 
     #[test]
@@ -926,6 +1116,8 @@ mod tests {
 
     #[test]
     fn tlab_bump_is_contiguous_and_skips_the_apt() {
+        // A fresh page's free set is contiguous, so its lease pops slots
+        // in address order.
         let d = domain();
         let mut ctx = d.register();
         ctx.begin_op();

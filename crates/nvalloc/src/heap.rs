@@ -66,6 +66,17 @@ pub fn slots_in_class(class: usize) -> usize {
     ((PAGE_SIZE - PAGE_HEADER) / CLASSES[class]).min(63)
 }
 
+/// Relisting threshold of class `class`: a page that floated off the
+/// reusable list (it was full when its owner dropped it) goes back on the
+/// list only once this many of its slots are free again — a quarter of
+/// the page, Hoard's emptiness threshold. A refill therefore leases a
+/// quarter of a page or more, and a floating page holds at most
+/// `relist_at(class) - 1` idle slots.
+#[inline]
+pub fn relist_at(class: usize) -> usize {
+    slots_in_class(class) / 4
+}
+
 /// Start address of the page containing `addr`.
 #[inline]
 pub fn page_of(addr: usize) -> usize {
@@ -142,12 +153,10 @@ impl PageHeader {
         bm.fetch_and(!(1u64 << i), Ordering::AcqRel)
     }
 
-    /// Index of a free slot, if any.
-    pub fn find_free(pool: &PmemPool, page: usize, class: usize) -> Option<usize> {
+    /// Mask of the page's free slots (bit i set = slot i free).
+    pub fn free_mask(pool: &PmemPool, page: usize, class: usize) -> u64 {
         let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let free = !bm & ((1u64 << n) - 1);
-        (free != 0).then(|| free.trailing_zeros() as usize)
+        !bm & full_mask(class)
     }
 
     /// Index of a free slot at or after `cursor`, falling back to the
@@ -157,17 +166,14 @@ impl PageHeader {
     /// O(1) next-free lookups instead of an O(slots) rescan from slot 0;
     /// because the fallback picks the lowest free slot, a caller that
     /// lowers its cursor on every local free observes exactly the
-    /// lowest-free-first order of [`Self::find_free`] in single-threaded
-    /// use.
+    /// lowest-free-first order in single-threaded use.
     pub fn find_free_at(
         pool: &PmemPool,
         page: usize,
         class: usize,
         cursor: usize,
     ) -> Option<usize> {
-        let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let free = !bm & ((1u64 << n) - 1);
+        let free = Self::free_mask(pool, page, class);
         if free == 0 {
             return None;
         }
@@ -176,28 +182,25 @@ impl PageHeader {
         Some(pick.trailing_zeros() as usize)
     }
 
-    /// Longest contiguous run of free slots, as `(start, len)`, or `None`
-    /// when the page is full. TLAB refills lease the returned run.
-    pub fn find_run(pool: &PmemPool, page: usize, class: usize) -> Option<(usize, usize)> {
-        let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let mut free = !bm & ((1u64 << n) - 1);
-        let mut best = (0usize, 0usize);
-        while free != 0 {
-            let start = free.trailing_zeros() as usize;
-            let len = (free >> start).trailing_ones() as usize;
-            if len > best.1 {
-                best = (start, len);
-            }
-            free &= !(((1u64 << len) - 1) << start);
-        }
-        (best.1 > 0).then_some(best)
-    }
-
     /// Whether the page has no allocated slots.
     pub fn is_empty(pool: &PmemPool, page: usize) -> bool {
         Self::bitmap(pool, page).load(Ordering::Acquire) == 0
     }
+}
+
+/// Mask with one bit set per slot of a class-`class` page.
+#[inline]
+pub(crate) fn full_mask(class: usize) -> u64 {
+    (1u64 << slots_in_class(class)) - 1
+}
+
+/// Whether a free that cleared one bit of a bitmap whose previous value
+/// was `prev` brought the page to exactly [`relist_at`] free slots. Of
+/// all racing frees of a page exactly one observes this transition, so
+/// it is the one that hands a floating page back to the reusable list.
+#[inline]
+pub(crate) fn reaches_relist(prev: u64, class: usize) -> bool {
+    slots_in_class(class) - prev.count_ones() as usize + 1 == relist_at(class)
 }
 
 /// Global (volatile) heap state shared by all threads of a domain.
@@ -209,7 +212,10 @@ pub struct NvHeap {
     pool: Arc<PmemPool>,
     /// Durable high-water mark: address of the next never-used page.
     bump_addr: usize,
-    /// Volatile free lists of completely / partially free pages per class.
+    /// Volatile lists of pages per class with at least [`relist_at`]
+    /// free slots. Pages with fewer float: no list holds them until frees
+    /// bring them back to the threshold (or the heap runs dry, see
+    /// [`NvHeap::acquire_page`]).
     reusable: Mutex<[Vec<usize>; N_CLASSES]>,
     /// Pages that were never assigned a class and are fully free.
     blank: Mutex<Vec<usize>>,
@@ -254,7 +260,8 @@ impl NvHeap {
             }
             match PageHeader::read_class(&pool, page) {
                 Some(class) => {
-                    if PageHeader::find_free(&pool, page, class).is_some() {
+                    let free = PageHeader::free_mask(&pool, page, class).count_ones() as usize;
+                    if free >= relist_at(class) {
                         reusable[class].push(page);
                     }
                 }
@@ -279,6 +286,12 @@ impl NvHeap {
     /// header is (re-)initialised if needed. Durably advances the bump
     /// pointer when taking a fresh page (one sync, amortised over the
     /// page's ~63 slots).
+    ///
+    /// When the lists are empty and the pool is exhausted, any formatted
+    /// page of the class with a free slot is adopted instead, so slots
+    /// held by floating pages (below the relist threshold) are never lost
+    /// to a false out-of-memory. The adopted page may be another thread's
+    /// current page; slot claims arbitrate through [`PageHeader::try_set`].
     pub fn acquire_page(&self, class: usize, flusher: &mut Flusher) -> Result<usize, OutOfMemory> {
         if let Some(page) = self.reusable.lock().expect("heap lock")[class].pop() {
             return Ok(page);
@@ -292,7 +305,7 @@ impl NvHeap {
         loop {
             let cur = bump.load(Ordering::Acquire) as usize;
             if cur + PAGE_SIZE > self.pool.heap_end() {
-                return Err(OutOfMemory);
+                return self.adopt_floating(class).ok_or(OutOfMemory);
             }
             if bump
                 .compare_exchange(
@@ -308,6 +321,16 @@ impl NvHeap {
                 return Ok(cur);
             }
         }
+    }
+
+    /// Last resort of [`Self::acquire_page`]: the first formatted page of
+    /// `class` with a free slot, found by walking the heap the way
+    /// [`Self::attach`] does. O(heap pages), and only run once the pool
+    /// is exhausted.
+    fn adopt_floating(&self, class: usize) -> Option<usize> {
+        self.pages().into_iter().find_map(|(page, c)| {
+            (c == class && PageHeader::free_mask(&self.pool, page, class) != 0).then_some(page)
+        })
     }
 
     /// Returns a page with free capacity to the shared reusable list, so
@@ -503,7 +526,7 @@ mod tests {
         let page = heap.acquire_page(0, &mut f).unwrap();
         assert!(PageHeader::try_set(&pool, page, 5));
         assert!(!PageHeader::try_set(&pool, page, 5), "double alloc detected");
-        assert_eq!(PageHeader::find_free(&pool, page, 0), Some(0));
+        assert_eq!(PageHeader::free_mask(&pool, page, 0), full_mask(0) & !(1 << 5));
         PageHeader::clear(&pool, page, 5);
         assert!(PageHeader::is_empty(&pool, page));
     }
@@ -533,18 +556,23 @@ mod tests {
     }
 
     #[test]
-    fn find_run_picks_longest_free_run() {
+    fn free_mask_and_relist_transition() {
         let (pool, heap, mut f) = heap();
         let page = heap.acquire_page(0, &mut f).unwrap();
         let n = slots_in_class(0);
-        assert_eq!(PageHeader::find_run(&pool, page, 0), Some((0, n)));
-        // Split the free space: 0..3 free, slot 3 taken, 4.. free.
-        PageHeader::try_set(&pool, page, 3);
-        assert_eq!(PageHeader::find_run(&pool, page, 0), Some((4, n - 4)));
+        assert_eq!(PageHeader::free_mask(&pool, page, 0), full_mask(0));
         for i in 0..n {
             PageHeader::try_set(&pool, page, i);
         }
-        assert_eq!(PageHeader::find_run(&pool, page, 0), None);
+        assert_eq!(PageHeader::free_mask(&pool, page, 0), 0);
+        // Free slots one at a time: only the free that brings the page to
+        // `relist_at` free slots reports the transition.
+        let k = relist_at(0);
+        for (freed, i) in (0..n).step_by(2).enumerate() {
+            let prev = PageHeader::clear(&pool, page, i);
+            assert_eq!(reaches_relist(prev, 0), freed + 1 == k, "free #{}", freed + 1);
+        }
+        assert_eq!(PageHeader::free_mask(&pool, page, 0).count_ones() as usize, n.div_ceil(2));
     }
 
     #[test]
@@ -594,14 +622,39 @@ mod tests {
 
     #[test]
     fn exhaustion_reports_oom() {
+        // Out of memory means no page of the class has a free slot: fill
+        // every acquired page, or the exhausted heap adopts it again.
         let pool = PoolBuilder::new(2 << 20).mode(Mode::Perf).build();
         let mut f = pool.flusher();
         let heap = NvHeap::format(Arc::clone(&pool), &mut f);
         let mut n = 0;
-        while heap.acquire_page(0, &mut f).is_ok() {
+        while let Ok(page) = heap.acquire_page(0, &mut f) {
+            for i in 0..slots_in_class(0) {
+                PageHeader::try_set(&pool, page, i);
+            }
             n += 1;
             assert!(n < 10_000, "runaway");
         }
         assert!(n > 0);
+    }
+
+    #[test]
+    fn exhausted_heap_adopts_a_floating_page() {
+        let pool = PoolBuilder::new(2 << 20).mode(Mode::Perf).build();
+        let mut f = pool.flusher();
+        let heap = NvHeap::format(Arc::clone(&pool), &mut f);
+        let mut pages = Vec::new();
+        while let Ok(page) = heap.acquire_page(0, &mut f) {
+            for i in 0..slots_in_class(0) {
+                PageHeader::try_set(&pool, page, i);
+            }
+            pages.push(page);
+        }
+        // One free slot floats (below the relist threshold): the exhausted
+        // heap still hands its page out instead of reporting OOM.
+        let victim = pages[pages.len() / 2];
+        PageHeader::clear(&pool, victim, 7);
+        assert_eq!(heap.acquire_page(0, &mut f), Ok(victim));
+        assert_eq!(heap.acquire_page(1, &mut f), Err(OutOfMemory), "other classes stay dry");
     }
 }

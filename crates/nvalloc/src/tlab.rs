@@ -5,59 +5,93 @@
 //! allocator gets part of the way there with per-thread current pages,
 //! but every allocation still probes the shared page bitmap and the
 //! active-page-table index. A TLAB removes both from the hot path: the
-//! thread *leases* a contiguous run of free slots from a page and then
-//! privately bumps through the run — one compare-free pointer increment
-//! per allocation, exactly the `ThreadLocalAllocBuffer` shape used by
-//! modern GC runtimes.
+//! thread *leases* a page — every slot the page has free at refill time —
+//! and then privately pops slots off the leased free mask, one bit-scan
+//! and one bitmap `fetch_or` per allocation, with no APT lookup.
+//!
+//! # What a refill hands out
+//!
+//! A page goes back on the heap's reusable list only while at least
+//! [`crate::heap::relist_at`] of its slots (a quarter of the page) are
+//! free, so a refill leases a quarter of a page or more (short of a
+//! racing duplicate listing, or an exhausted pool). A page that was full
+//! when its owner dropped it *floats* — on no list — until frees bring it
+//! back to the threshold; the free that observes that transition relists
+//! it. A floating page therefore holds at most `relist_at - 1` idle
+//! slots, and once the pool is exhausted the heap adopts floating pages
+//! directly rather than report out-of-memory.
 //!
 //! # Durability
 //!
 //! A lease is published **once**, durably, before the first slot of the
-//! run is marked allocated: the per-thread, per-class *lease word* lives
-//! in the tail of the thread's APT row (see [`crate::apt`]) and encodes
-//! `(page, start, end)`. Recovery unions the lease pages into the
-//! active-page scan set, so a crash mid-lease costs at most one extra
-//! page scan per thread per class — a *bounded* leak scan, never a heap
-//! walk. The word is written only at refill and retire, never on the
-//! per-allocation bump path.
+//! page is marked allocated: the per-thread, per-class *lease word* lives
+//! in the tail of the thread's APT row (see [`crate::apt`]) and records
+//! the page (plus the span of leased slot indices, informational only).
+//! The word is published under the same fence as the page's APT entry.
+//! Recovery unions the lease pages into the active-page scan set and scans
+//! each one whole, so a crash mid-lease costs at most one extra page scan
+//! per thread per class — a *bounded* leak scan, never a heap walk. The
+//! word is written only at refill and retire, never on the per-allocation
+//! path.
 //!
 //! # Lifecycle
 //!
 //! * **Refill** (`ThreadCtx::refill_tlab`): park the previous lease,
-//!   acquire a page, pick its longest free run, durably publish the
-//!   lease word, then bump privately.
-//! * **Park/retire**: on `seal_generation`, thread drop, OOM pressure
-//!   and mode switches the unused remainder is returned to the shared
-//!   reusable list and the lease word is lazily cleared (a stale lease
-//!   word is safe — it only widens the recovery scan).
+//!   acquire a page, take its free mask, durably publish the lease word,
+//!   then pop slots privately. Each pop claims its slot with
+//!   [`crate::heap::PageHeader::try_set`], which arbitrates against a
+//!   racing duplicate lease of the same page.
+//! * **Park/retire**: on `seal_generation`, thread drop and mode switches
+//!   the lease is dropped; its page is relisted if it still has at least
+//!   `relist_at` free slots and floats otherwise, and the lease word is
+//!   lazily cleared (a stale lease word is safe — it only widens the
+//!   recovery scan).
 //!
 //! Both transitions emit a [`pmem::CrashEvent::TlabLease`] crash point
 //! so the crashtest matrix enumerates them.
 
-/// Volatile bump state of one size class's lease.
+/// Volatile state of one size class's lease.
 ///
-/// `page == 0` means "no lease". `next..end` are the slot indices still
-/// available to bump through; slots are only marked in the page bitmap
-/// as they are handed out, so the un-bumped remainder stays visibly free
-/// to the rest of the heap.
+/// `page == 0` means "no lease". `free` holds the page's slots that were
+/// free when the lease was taken and have not been handed out yet; slots
+/// are only marked in the page bitmap as they are handed out, so the rest
+/// stays visibly free to the rest of the heap.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Tlab {
     /// Leased page address (0 = no active lease).
     pub page: usize,
-    /// Next slot index to hand out.
-    pub next: usize,
-    /// One past the last leased slot index.
-    pub end: usize,
+    /// Leased slots not handed out yet (bit i = slot i).
+    pub free: u64,
 }
 
 impl Tlab {
     /// No active lease.
-    pub const EMPTY: Tlab = Tlab { page: 0, next: 0, end: 0 };
+    pub const EMPTY: Tlab = Tlab { page: 0, free: 0 };
 
-    /// Whether the lease has slots left to bump through.
+    /// Whether the lease has slots left to hand out.
     #[inline]
     pub fn has_room(&self) -> bool {
-        self.page != 0 && self.next < self.end
+        self.page != 0 && self.free != 0
+    }
+
+    /// Takes the lowest leased slot off the lease.
+    #[inline]
+    pub fn pop(&mut self) -> Option<usize> {
+        if !self.has_room() {
+            return None;
+        }
+        let slot = self.free.trailing_zeros() as usize;
+        self.free &= self.free - 1;
+        Some(slot)
+    }
+
+    /// The durable word recording this lease: its page and the span from
+    /// the lowest to one past the highest leased slot.
+    pub fn word(&self) -> u64 {
+        debug_assert!(self.has_room(), "only a fresh lease is published");
+        let start = self.free.trailing_zeros() as usize;
+        let end = 64 - self.free.leading_zeros() as usize;
+        encode_lease(self.page, start, end)
     }
 }
 
@@ -113,10 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_lease_has_no_room() {
-        let t = Tlab { page: 0x10_000, next: 7, end: 7 };
-        assert!(!t.has_room());
-        let t = Tlab { page: 0x10_000, next: 3, end: 7 };
+    fn pop_hands_out_non_contiguous_slots_lowest_first() {
+        let mut t = Tlab { page: 0x10_000, free: (1 << 3) | (1 << 9) | (1 << 40) };
+        let w = t.word();
+        assert_eq!((lease_page(w), lease_start(w), lease_end(w)), (0x10_000, 3, 41));
+        assert_eq!(t.pop(), Some(3));
+        assert_eq!(t.pop(), Some(9));
         assert!(t.has_room());
+        assert_eq!(t.pop(), Some(40));
+        assert!(!t.has_room());
+        assert_eq!(t.pop(), None);
     }
 }

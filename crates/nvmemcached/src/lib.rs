@@ -122,9 +122,18 @@ impl NvMemcached {
         &self.domain
     }
 
-    /// Registers the calling worker thread.
+    /// Registers the calling worker thread. With a link cache, the
+    /// context flushes it before every APT trim (§5.4: no cached link may
+    /// refer to a page whose entry is trimmed) and before reclamation
+    /// frees nodes (no freed slot may still be linked durably); without
+    /// the flush, a crash leaks nodes.
     pub fn register(&self) -> ThreadCtx {
-        self.domain.register()
+        let mut ctx = self.domain.register();
+        if let Some(lc) = self.table.ops().link_cache() {
+            let lc = Arc::clone(lc);
+            ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
+        }
+        ctx
     }
 
     /// Current (approximate) item count.

@@ -12,8 +12,8 @@
 //! * **Throughput**: the per-shard eviction-queue mutex, heap page lists,
 //!   epoch vectors and (in crash-sim mode) shadow word arrays are no
 //!   longer contended across the whole cache.
-//! * **Parallel recovery**: after a crash every shard repairs its table
-//!   and reclaims its leaks on its own thread
+//! * **Parallel recovery**: after a crash the shards repair their tables
+//!   and reclaim their leaks in parallel, the calling thread taking part
 //!   ([`ShardedNvMemcached::recover`]), and the per-shard
 //!   [`RecoveryReport`]s are merged into one aggregate.
 //! * **Fault isolation**: a crash mid-operation can leave in-flight state
@@ -52,8 +52,8 @@
 //! `n = 1` the router is constant), which keeps single-system paper
 //! comparisons honest.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use nvalloc::{OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
@@ -568,9 +568,9 @@ impl ShardedNvMemcached {
 
     /// Re-attaches to a crashed sharded cache: validates the recorded
     /// geometry against `pools`, then recovers every shard **in
-    /// parallel** (one thread per shard — each repairs its table and
-    /// reclaims its leaks independently) and merges the per-shard
-    /// [`RecoveryReport`]s into one aggregate.
+    /// parallel** (the caller and a helper per further shard — each shard
+    /// repairs its table and reclaims its leaks independently) and merges
+    /// the per-shard [`RecoveryReport`]s into one aggregate.
     ///
     /// If the pools span **two adjacent topology versions** — a crash hit
     /// mid-reshard — the committed reshard state word of the old group is
@@ -592,24 +592,37 @@ impl ShardedNvMemcached {
     /// Recovers every pool of one already-validated single-version group
     /// in parallel. Shared by the plain and the roll-forward recovery
     /// paths.
+    ///
+    /// The calling thread and one helper per further shard claim shards
+    /// from a shared cursor. The caller starts at once, so a helper that
+    /// the scheduler starts late delays nothing: whatever it has not
+    /// claimed by then, the caller recovers itself. (On a 2-vCPU VM,
+    /// waiting for helpers to start made a ~1 ms two-shard recovery take
+    /// 2–10 ms whenever the other vCPU was slow to wake.)
     pub(crate) fn recover_group(
         pools: &[Arc<PmemPool>],
         capacity: usize,
     ) -> (Vec<NvMemcached>, RecoveryReport) {
         let per_shard_capacity = capacity.div_ceil(pools.len().max(1));
-        let recovered: Vec<(NvMemcached, RecoveryReport)> = std::thread::scope(|s| {
-            let handles: Vec<_> = pools
-                .iter()
-                .map(|pool| {
-                    let pool = Arc::clone(pool);
-                    s.spawn(move || NvMemcached::recover(pool, per_shard_capacity))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard recovery panicked")).collect()
+        let next = AtomicUsize::new(0);
+        let recovered: Vec<OnceLock<(NvMemcached, RecoveryReport)>> =
+            pools.iter().map(|_| OnceLock::new()).collect();
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(pool) = pools.get(i) else { return };
+            // Each index is claimed once, so the slot is still empty.
+            let _ = recovered[i].set(NvMemcached::recover(Arc::clone(pool), per_shard_capacity));
+        };
+        std::thread::scope(|s| {
+            for _ in 1..pools.len() {
+                s.spawn(work);
+            }
+            work();
         });
         let mut report = RecoveryReport::default();
         let mut shards = Vec::with_capacity(recovered.len());
-        for (shard, shard_report) in recovered {
+        for slot in recovered {
+            let (shard, shard_report) = slot.into_inner().expect("every shard recovered");
             report.merge(shard_report);
             shards.push(shard);
         }

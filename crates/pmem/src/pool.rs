@@ -185,6 +185,23 @@ impl PmemPool {
         unsafe { &*(addr as *const AtomicU64) }
     }
 
+    /// Views the `n` consecutive words from `addr` as atomics, with one
+    /// bounds check for the whole run (scans over many words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is unaligned or the run leaves the pool.
+    #[inline]
+    pub fn atomic_words(&self, addr: usize, n: usize) -> &[AtomicU64] {
+        assert!(
+            addr % 8 == 0 && self.contains(addr) && n <= (self.start() + self.len - addr) / 8,
+            "bad pmem range {addr:#x} + {n} words"
+        );
+        // SAFETY: as in `atomic_u64`, for every word of the run: the run
+        // is in bounds and aligned, and lives as long as `self`.
+        unsafe { std::slice::from_raw_parts(addr as *const AtomicU64, n) }
+    }
+
     /// Raw pointer to `addr` for typed node access.
     ///
     /// # Panics
@@ -429,5 +446,24 @@ mod tests {
     fn atomic_view_rejects_foreign_address() {
         let pool = crash_pool();
         let _ = pool.atomic_u64(8);
+    }
+
+    #[test]
+    fn word_run_views_the_same_words() {
+        let pool = crash_pool();
+        let addr = pool.heap_start();
+        pool.atomic_u64(addr + 16).store(7, Ordering::Relaxed);
+        let words = pool.atomic_words(addr, 4);
+        assert_eq!(words.len(), 4);
+        assert_eq!(words[2].load(Ordering::Relaxed), 7);
+        let last = pool.start() + pool.len() - 8;
+        assert_eq!(pool.atomic_words(last, 1).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad pmem range")]
+    fn word_run_rejects_overrun() {
+        let pool = crash_pool();
+        let _ = pool.atomic_words(pool.start() + pool.len() - 8, 2);
     }
 }
