@@ -11,12 +11,31 @@ use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_CURSOR, H_NEW};
-use crate::list::{self, Inserted, Lookup, Removed};
+use crate::list::{self, Inserted, Lookup, Removed, RepairCursor};
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty};
 use crate::ops::LinkOps;
 
 /// Number of volatile stripe locks serialising per-bucket migration.
 pub(super) const N_STRIPES: usize = 16;
+
+/// Chains [`HashTable::recover_visit`] walks at once (Kocberber et al.,
+/// "Asynchronous Memory Access Chaining", VLDB 2015). Recovering two
+/// 500k-item shards on a 2-vCPU VM took 124–134 ms with 1 lane, 71–82 ms
+/// with 4, 63–64 ms with 8, 57–74 ms with 16 and 77–81 ms with 32.
+const LANES: usize = 8;
+
+/// Hints the CPU to start loading the cache line at `addr`.
+#[inline(always)]
+fn prefetch(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint: it reads nothing into the
+    // program and never faults, whatever the address.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(addr as *const i8)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
 
 /// A crash image whose table geometry cannot be trusted.
 ///
@@ -373,29 +392,69 @@ impl HashTable {
     /// completes pending unlinks; returns `(dirty_cleared, unlinked)`
     /// totals. A half-migrated table is left half-migrated — run
     /// [`Self::finish_resize`] afterwards (after the leak scan) to roll
-    /// it forward.
+    /// it forward. [`Self::recover_visit`] with a no-op visitor.
     pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
+        self.recover_visit(flusher, |_, _| {})
+    }
+
+    /// [`Self::recover`] that also hands `visit` the `(addr, key)` of
+    /// every live node it walks past, so a caller needs no second walk
+    /// for reachability or key lists. Mid-resize, a key being moved is
+    /// visited twice (its claimed original and its copy).
+    ///
+    /// The walk keeps [`LANES`] chains in flight in lockstep, each lane
+    /// prefetching its next node, so that several cache misses overlap
+    /// instead of one pointer chase waiting on one miss at a time. Every
+    /// repair is durable when this returns (one fence after the walk),
+    /// so a leak scan run afterwards may free slots right away.
+    pub fn recover_visit(
+        &self,
+        flusher: &mut Flusher,
+        mut visit: impl FnMut(usize, u64),
+    ) -> (u64, u64) {
         let pool = self.ops.pool();
-        let mut dirty = 0;
+        let mut repairs = (0, 0);
         for off in [H_CUR, H_NEW, H_CURSOR] {
             let w = pool.atomic_u64(self.hdr + off).load(Ordering::Acquire);
             if is_dirty(w) {
                 pool.atomic_u64(self.hdr + off).store(clean(w), Ordering::Release);
                 flusher.clwb(self.hdr + off);
-                dirty += 1;
+                repairs.0 += 1;
+            }
+        }
+        // The walk below reads the array addresses these words hold.
+        flusher.fence();
+        let (cur, new) = self.live_arrays();
+        let mut heads = std::iter::once(cur)
+            .chain(new)
+            .flat_map(|arr| (0..self.arr_n(arr)).map(move |b| bucket_link_at(arr, b)))
+            .fuse();
+        let mut lanes = [RepairCursor::DONE; LANES];
+        loop {
+            let mut in_flight = false;
+            for lane in &mut lanes {
+                if lane.curr() != 0 {
+                    if let Some((addr, key)) = lane.step(&self.ops, flusher, &mut repairs) {
+                        visit(addr, key);
+                    }
+                }
+                // A finished lane takes the next non-empty chain; its
+                // first node is stepped next round, once prefetched.
+                while lane.curr() == 0 {
+                    let Some(head) = heads.next() else { break };
+                    *lane = RepairCursor::start(&self.ops, head, flusher, &mut repairs);
+                }
+                if lane.curr() != 0 {
+                    prefetch(lane.curr());
+                    in_flight = true;
+                }
+            }
+            if !in_flight {
+                break;
             }
         }
         flusher.fence();
-        let mut unlinked = 0;
-        let (cur, new) = self.live_arrays();
-        for arr in std::iter::once(cur).chain(new) {
-            for b in 0..self.arr_n(arr) {
-                let (d, u) = list::recover_chain(&self.ops, bucket_link_at(arr, b), flusher);
-                dirty += d;
-                unlinked += u;
-            }
-        }
-        (dirty, unlinked)
+        repairs
     }
 
     fn chain_contains(&self, head: usize, addr: usize, key: u64) -> bool {
@@ -489,3 +548,134 @@ impl HashTable {
 unsafe impl Send for HashTable {}
 // SAFETY: see above.
 unsafe impl Sync for HashTable {}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use pmem::{Mode, PmemPool, PoolBuilder};
+
+    use super::*;
+    use crate::marked::{DELETED, DIRTY, TAG};
+
+    /// Initial buckets: several times [`LANES`], so lanes refill often.
+    const BUCKETS: usize = 8 * LANES;
+
+    /// A table mid-resize whose chains have unequal lengths with empty
+    /// buckets in between, carrying the leftovers of a crash: dirty
+    /// anchors and links, and deleted nodes still linked.
+    fn crashed_table() -> (Arc<PmemPool>, HashTable) {
+        let pool = PoolBuilder::new(8 << 20).mode(Mode::Perf).build();
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ops = LinkOps::new(Arc::clone(&pool), None);
+        let t = HashTable::create(&domain, 1, BUCKETS, ops).expect("pool sized for table");
+        let mut ctx = domain.register();
+        let mut len = [0; BUCKETS];
+        for key in 1..5_000 {
+            let b = bucket_index(key, BUCKETS);
+            // Every third bucket stays empty; the others hold 1 to 5 keys.
+            if b % 3 != 0 && len[b] < b % 5 + 1 {
+                t.insert(&mut ctx, key, key * 3).expect("pool sized for table");
+                len[b] += 1;
+            }
+        }
+        // Half the old buckets migrated: keys live in both arrays.
+        assert!(t.grow(&mut ctx, 2).expect("pool sized for grow"));
+        let (cur, new) = t.live_arrays();
+        let new = new.expect("resize in flight");
+        for b in 0..BUCKETS / 2 {
+            t.ensure_migrated(&mut ctx, cur, new, b).expect("pool sized for migration");
+        }
+        // Keys caught mid-move: claimed in the old array, copied to the
+        // new one, not yet deleted.
+        for b in (BUCKETS / 2..BUCKETS).step_by(3) {
+            let node = addr_of(t.ops.load(bucket_link_at(cur, b)));
+            if node != 0 {
+                pool.atomic_u64(list::next_addr(node)).fetch_or(TAG, Ordering::AcqRel);
+                let key = list::key_at(&t.ops, node);
+                let dest = bucket_link_at(new, bucket_index(key, t.arr_n(new)));
+                let copied = list::insert(&t.ops, &mut ctx, dest, key, key * 3);
+                assert_eq!(copied, Ok(Inserted::Yes));
+            }
+        }
+        let mut i = 0;
+        for arr in [cur, new] {
+            for b in 0..t.arr_n(arr) {
+                let head = bucket_link_at(arr, b);
+                let mut curr = addr_of(t.ops.load(head));
+                if b % 4 == 1 {
+                    pool.atomic_u64(head).fetch_or(DIRTY, Ordering::AcqRel);
+                }
+                while curr != 0 {
+                    let next = list::next_addr(curr);
+                    let w = t.ops.load(next);
+                    let marks = match i % 20 {
+                        1 | 9 | 13 => DIRTY,
+                        2 | 7 => DELETED,
+                        17 => DELETED | DIRTY,
+                        _ => 0,
+                    };
+                    pool.atomic_u64(next).fetch_or(marks, Ordering::AcqRel);
+                    i += 1;
+                    curr = addr_of(w);
+                }
+            }
+        }
+        drop(ctx);
+        (pool, t)
+    }
+
+    /// What the sequential repair of every chain does to the crashed
+    /// image, read without changing it: the dirty words it cleans (the
+    /// anchors and the links of every node it walks past), the deleted
+    /// nodes it unlinks, and the live nodes it keeps.
+    fn reference_repair(t: &HashTable) -> ((u64, u64), Vec<usize>) {
+        let (mut dirty, mut unlinked, mut live) = (0, 0, Vec::new());
+        let (cur, new) = t.live_arrays();
+        for arr in std::iter::once(cur).chain(new) {
+            for b in 0..t.arr_n(arr) {
+                let mut w = t.ops.load(bucket_link_at(arr, b));
+                dirty += u64::from(is_dirty(w));
+                while addr_of(w) != 0 {
+                    let node = addr_of(w);
+                    w = t.ops.load(list::next_addr(node));
+                    dirty += u64::from(is_dirty(w));
+                    if is_deleted(w) {
+                        unlinked += 1;
+                    } else {
+                        live.push(node);
+                    }
+                }
+            }
+        }
+        live.sort_unstable();
+        ((dirty, unlinked), live)
+    }
+
+    #[test]
+    fn lockstep_walk_matches_the_sequential_chain_repair() {
+        let (pool, t) = crashed_table();
+        for off in [H_CUR, H_NEW, H_CURSOR] {
+            assert!(!is_dirty(t.ops.load(t.hdr + off)), "the forged image leaves the header clean");
+        }
+        let (expect, live) = reference_repair(&t);
+        assert!(expect.0 > 0 && expect.1 > 0, "the image carries dirty marks and deletions");
+
+        let mut visited = Vec::new();
+        let repairs = t.recover_visit(&mut pool.flusher(), |addr, key| visited.push((addr, key)));
+        assert_eq!(repairs, expect, "(dirty cleared, unlinked) as the sequential repair");
+        let mut addrs: Vec<usize> = visited.iter().map(|&(a, _)| a).collect();
+        addrs.sort_unstable();
+        assert_eq!(addrs, live, "every live node visited once");
+        let mut reachable: Vec<usize> = t.collect_reachable().into_iter().collect();
+        reachable.sort_unstable();
+        assert_eq!(reachable, live, "only the deleted nodes were unlinked");
+        let mut keys: Vec<u64> = visited.iter().map(|&(_, k)| k).collect();
+        let mut snap: Vec<u64> = t.snapshot().into_iter().map(|(k, _)| k).collect();
+        keys.sort_unstable();
+        snap.sort_unstable();
+        assert_eq!(keys, snap, "each node visited with its own key");
+        assert!(keys.windows(2).any(|w| w[0] == w[1]), "some key is linked in both arrays");
+        assert_eq!(t.recover(&mut pool.flusher()), (0, 0), "the walk left nothing to repair");
+    }
+}

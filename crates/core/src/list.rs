@@ -352,44 +352,88 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
     result
 }
 
-/// Quiescent post-crash fixup of the list anchored at `head_link`:
-/// clears leftover dirty marks and completes the unlink of logically
-/// deleted nodes (their slots are then reclaimed by the leak scan).
-/// Returns `(dirty_cleared, unlinked)`.
-pub(crate) fn recover_chain(ops: &LinkOps, head_link: usize, flusher: &mut Flusher) -> (u64, u64) {
-    let pool = ops.pool();
-    let mut dirty_cleared = 0;
-    let mut unlinked = 0;
-    // Clean the anchor itself.
-    let hw = ops.load(head_link);
-    if is_dirty(hw) {
-        pool.atomic_u64(head_link).store(clean(hw), Ordering::Release);
-        flusher.clwb(head_link);
-        dirty_cleared += 1;
+/// Post-crash repair of one chain, one node per [`Self::step`]: clears
+/// leftover dirty marks and completes the unlink of logically deleted
+/// nodes (their slots are then reclaimed by the leak scan). Repairs are
+/// only written back; the caller fences once it is done with every
+/// chain it repairs. [`recover_chain`] runs one cursor to the end; the
+/// hash table's recovery walk steps several in lockstep.
+pub(crate) struct RepairCursor {
+    pred_link: usize,
+    /// The node the next step repairs (0 = chain done).
+    curr: usize,
+}
+
+impl RepairCursor {
+    /// A cursor with no chain left to repair.
+    pub(crate) const DONE: Self = Self { pred_link: 0, curr: 0 };
+
+    /// Starts on the chain anchored at `head_link`, cleaning the anchor
+    /// itself. `repairs` accumulates `(dirty_cleared, unlinked)`.
+    pub(crate) fn start(
+        ops: &LinkOps,
+        head_link: usize,
+        flusher: &mut Flusher,
+        repairs: &mut (u64, u64),
+    ) -> Self {
+        let mut hw = ops.load(head_link);
+        if is_dirty(hw) {
+            hw = clean(hw);
+            ops.pool().atomic_u64(head_link).store(hw, Ordering::Release);
+            flusher.clwb(head_link);
+            repairs.0 += 1;
+        }
+        Self { pred_link: head_link, curr: addr_of(hw) }
     }
-    let mut pred_link = head_link;
-    let mut curr = addr_of(ops.load(head_link));
-    while curr != 0 {
+
+    /// The node the next step visits, or 0 once the chain is done.
+    #[inline]
+    pub(crate) fn curr(&self) -> usize {
+        self.curr
+    }
+
+    /// Repairs the node under the cursor and moves past it. Returns the
+    /// node's `(addr, key)` when it is live (not deleted).
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        ops: &LinkOps,
+        flusher: &mut Flusher,
+        repairs: &mut (u64, u64),
+    ) -> Option<(usize, u64)> {
+        let pool = ops.pool();
+        let curr = self.curr;
         let mut w = ops.load(next_addr(curr));
         if is_dirty(w) {
             w = clean(w);
             pool.atomic_u64(next_addr(curr)).store(w, Ordering::Release);
             flusher.clwb(next_addr(curr));
-            dirty_cleared += 1;
+            repairs.0 += 1;
         }
+        self.curr = addr_of(w);
         if is_deleted(w) {
             // Complete the durable deletion: bypass the node.
-            pool.atomic_u64(pred_link).store(bare(w), Ordering::Release);
-            flusher.clwb(pred_link);
-            unlinked += 1;
-            curr = addr_of(w);
-        } else {
-            pred_link = next_addr(curr);
-            curr = addr_of(w);
+            pool.atomic_u64(self.pred_link).store(bare(w), Ordering::Release);
+            flusher.clwb(self.pred_link);
+            repairs.1 += 1;
+            return None;
         }
+        self.pred_link = next_addr(curr);
+        Some((curr, key_at(ops, curr)))
+    }
+}
+
+/// Quiescent post-crash fixup of the list anchored at `head_link` (see
+/// [`RepairCursor`]), made durable by one fence. Returns
+/// `(dirty_cleared, unlinked)`.
+pub(crate) fn recover_chain(ops: &LinkOps, head_link: usize, flusher: &mut Flusher) -> (u64, u64) {
+    let mut repairs = (0, 0);
+    let mut cursor = RepairCursor::start(ops, head_link, flusher, &mut repairs);
+    while cursor.curr() != 0 {
+        cursor.step(ops, flusher, &mut repairs);
     }
     flusher.fence();
-    (dirty_cleared, unlinked)
+    repairs
 }
 
 /// Collects the addresses of all reachable, live nodes (quiescent). Used

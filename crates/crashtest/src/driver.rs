@@ -103,7 +103,7 @@ fn run_trace<T: CrashTarget>(
     logfree::skiplist::reset_height_rng(cfg.seed);
     let target = T::create(pool, cfg.use_link_cache);
     pool.install_crash_plan(Arc::clone(plan));
-    let mut ctx = target.domain().register();
+    let mut ctx = target.register();
     let mut spans = Vec::with_capacity(trace.len() + 1);
     spans.push(plan.events());
     for &op in trace {
@@ -338,7 +338,7 @@ impl TortureReport {
 type DoneLog = Vec<(u64, Option<u64>)>;
 
 fn torture_worker<T: CrashTarget>(target: &T, cfg: &TortureConfig, tid: u64, log: &Mutex<DoneLog>) {
-    let mut ctx = target.domain().register();
+    let mut ctx = target.register();
     let base = 1 + tid * cfg.keys_per_thread;
     // `.max(1)`: xorshift state must never be zero, whatever the seed.
     let mut x = (cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid + 1)).max(1);

@@ -57,7 +57,7 @@ fn recovered_target<T: CrashTarget>(pool: &Arc<PmemPool>, seed: u64, fill: &[Tra
     logfree::skiplist::reset_height_rng(seed);
     {
         let target = T::create(pool, false);
-        let mut ctx = target.domain().register();
+        let mut ctx = target.register();
         for &op in fill {
             target.apply(&mut ctx, op);
         }
@@ -79,7 +79,7 @@ fn run_removals<T: CrashTarget>(
 ) -> Vec<u64> {
     let target = recovered_target::<T>(pool, seed, &ops[..fill]);
     pool.install_crash_plan(Arc::clone(plan));
-    let mut ctx = target.domain().register();
+    let mut ctx = target.register();
     let mut spans = vec![0; fill];
     spans.push(plan.events());
     for &op in &ops[fill..] {

@@ -34,8 +34,14 @@ pub trait CrashTarget: Sized + Send + Sync {
     /// Creates a fresh instance (formats the domain) over `pool`.
     fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self;
 
-    /// The allocation domain (drivers register worker threads here).
+    /// The allocation domain.
     fn domain(&self) -> &Arc<NvDomain>;
+
+    /// Registers a worker thread the way the target's own users do
+    /// (drivers register every worker through this).
+    fn register(&self) -> ThreadCtx {
+        self.domain().register()
+    }
 
     /// Applies one trace operation; returns whether it changed the
     /// structure (insert stored / remove removed), for the
@@ -294,28 +300,40 @@ impl CrashTarget for ResizeTarget {
     }
 }
 
-/// NV-Memcached as a crash target. `Insert` maps to `set` (upsert),
-/// `Remove` to `delete`. Capacity is effectively unbounded so eviction
-/// never perturbs the oracle.
-pub struct MemcachedTarget {
+/// NV-Memcached as a crash target over `BUCKETS` initial buckets.
+/// `Insert` maps to `set` (upsert), `Remove` to `delete`. Capacity is
+/// effectively unbounded so eviction never perturbs the oracle.
+pub struct MemcachedTarget<const BUCKETS: usize = N_BUCKETS> {
     mc: NvMemcached,
 }
+
+/// NV-Memcached over a single initial bucket: the cache's own auto-grow
+/// fires once 8 keys are live, so a short trace crashes it mid-resize
+/// and recovers images whose chains are linked in both arrays.
+pub type MemcachedGrowTarget = MemcachedTarget<1>;
 
 /// Soft capacity far above any trace size: eviction must never fire.
 pub(crate) const MC_CAPACITY: usize = 1 << 30;
 
-impl CrashTarget for MemcachedTarget {
-    const NAME: &'static str = "NvMemcached";
+impl<const BUCKETS: usize> CrashTarget for MemcachedTarget<BUCKETS> {
+    const NAME: &'static str =
+        if BUCKETS == N_BUCKETS { "NvMemcached" } else { "NvMemcached+grow" };
     const UPSERT: bool = true;
 
     fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
-        let mc = NvMemcached::create(Arc::clone(pool), N_BUCKETS, MC_CAPACITY, use_link_cache)
+        let mc = NvMemcached::create(Arc::clone(pool), BUCKETS, MC_CAPACITY, use_link_cache)
             .expect("pool sized for cache");
         Self { mc }
     }
 
     fn domain(&self) -> &Arc<NvDomain> {
         self.mc.domain()
+    }
+
+    /// Through [`NvMemcached::register`], which installs the link-cache
+    /// flush hook on a cache that has one.
+    fn register(&self) -> ThreadCtx {
+        self.mc.register()
     }
 
     fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
@@ -346,8 +364,11 @@ impl CrashTarget for MemcachedTarget {
     }
 
     fn post_recovery_check(&self) -> Option<String> {
-        self.mc
-            .resize_in_flight()
-            .then(|| "cache resize still in flight after recovery".to_string())
+        if self.mc.resize_in_flight() {
+            return Some("cache resize still in flight after recovery".into());
+        }
+        let live = self.mc.snapshot().len();
+        (self.mc.len() != live)
+            .then(|| format!("recovered item count {} != {live} live items", self.mc.len()))
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use crashtest::{
     count_events, count_sharded_events, run_crash_points, run_recovered_remove_points,
     run_sharded_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig, CrashTarget,
-    HashTarget, ListTarget, MemcachedTarget, OpMix, ResizeTarget, SkipTarget, TortureConfig,
-    TraceOp,
+    HashTarget, ListTarget, MemcachedGrowTarget, MemcachedTarget, OpMix, ResizeTarget, SkipTarget,
+    TortureConfig, TraceOp,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use pmem::PmemPool;
@@ -56,6 +56,17 @@ fn resize_in_flight_survives_every_crash_point() {
     // flight (recovery rolls it forward).
     let report = run_crash_points::<ResizeTarget>(&cfg());
     assert!(report.event_kinds.4 > 0, "the trace produced no resize-state crash points");
+    report.assert_clean();
+}
+
+#[test]
+fn nv_memcached_auto_grow_resize_survives_every_crash_point() {
+    // The cache's own auto-grow fires mid-trace, so recovery sees images
+    // with keys linked in both bucket arrays: the recovered item count
+    // must still be exact (the target's post-recovery check) and nothing
+    // may leak.
+    let report = run_crash_points::<MemcachedGrowTarget>(&cfg());
+    assert!(report.event_kinds.4 > 0, "the trace never grew the cache");
     report.assert_clean();
 }
 

@@ -77,26 +77,30 @@ pub(crate) fn intent_slot(pool: &PmemPool, tid: usize, which: usize) -> usize {
 /// active-page scan set via [`lease_pages`].
 pub(crate) fn lease_slot(pool: &PmemPool, tid: usize, class: usize) -> usize {
     debug_assert!(class < N_CLASSES);
-    row_addr(pool, tid) + 8 + APT_CAP * 8 + 16 + class * 8
+    row_addr(pool, tid) + LEASE_OFF + class * 8
 }
+
+/// Row offset of the first TLAB lease word (after the flags word, the
+/// entries and the two intent slots).
+const LEASE_OFF: usize = 8 + APT_CAP * 8 + 16;
 
 /// Reads every thread's durable TLAB lease words and returns the pages
 /// they cover (deduplicated). Part of the recovery scan set: a crash
 /// mid-lease leaves at most these pages uncovered by the APT entries.
 pub fn lease_pages(pool: &PmemPool) -> Vec<usize> {
-    let mut pages = Vec::new();
-    for tid in 0..MAX_THREADS {
-        for class in 0..N_CLASSES {
-            let w = pool.atomic_u64(lease_slot(pool, tid, class)).load(Ordering::Acquire);
-            let page = tlab::lease_page(w);
-            if page != 0 {
-                pages.push(page);
-            }
-        }
-    }
+    let mut pages: Vec<usize> =
+        (0..MAX_THREADS).flat_map(|tid| row_lease_pages(pool, row_addr(pool, tid))).collect();
     pages.sort_unstable();
     pages.dedup();
     pages
+}
+
+/// The non-empty TLAB lease pages recorded in the row at `row`.
+fn row_lease_pages(pool: &PmemPool, row: usize) -> impl Iterator<Item = usize> + '_ {
+    pool.atomic_words(row + LEASE_OFF, N_CLASSES)
+        .iter()
+        .map(|w| tlab::lease_page(w.load(Ordering::Acquire)))
+        .filter(|&page| page != 0)
 }
 
 /// Why a page is being marked active.
@@ -186,7 +190,7 @@ pub struct ActivePageTable {
 
 impl ActivePageTable {
     /// Opens (and clears) thread `tid`'s row. Used on fresh registration;
-    /// recovery reads rows directly via [`active_pages`].
+    /// recovery reads rows directly via [`ScanSet::read`].
     pub fn open(pool: Arc<PmemPool>, tid: usize, flusher: &mut Flusher) -> Self {
         let row = row_addr(&pool, tid);
         clear_row(&pool, row, flusher);
@@ -357,39 +361,67 @@ fn row_is_clear(pool: &PmemPool, row: usize) -> bool {
     pool.atomic_words(row, ROW_USED / 8).iter().all(|w| w.load(Ordering::Acquire) == 0)
 }
 
-/// Reads the union of all threads' durable active pages *and* TLAB lease
-/// pages — the recovery scan set. Returns `None` if any thread fell back
-/// to ALL_ACTIVE (the caller must scan the whole heap).
-pub fn active_pages(pool: &PmemPool) -> Option<Vec<usize>> {
-    let mut pages = Vec::new();
-    for tid in 0..MAX_THREADS {
-        let row = row_addr(pool, tid);
-        if pool.atomic_u64(row).load(Ordering::Acquire) & ALL_ACTIVE != 0 {
-            return None;
-        }
-        for entry in pool.atomic_words(row + 8, APT_CAP) {
-            let p = entry.load(Ordering::Acquire) as usize;
-            if p != 0 {
-                pages.push(p);
-            }
-        }
-    }
-    pages.extend(lease_pages(pool));
-    pages.sort_unstable();
-    pages.dedup();
-    Some(pages)
+/// The recovery scan set, read once per recovery: the union of every
+/// thread's durable active pages and TLAB lease pages, plus which rows
+/// held anything at all (the only rows [`clear_all`] rewrites).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanSet {
+    /// Sorted, deduplicated pages; `None` when some thread fell back to
+    /// ALL_ACTIVE and the whole heap must be scanned.
+    pages: Option<Vec<usize>>,
+    /// Bit `tid` is set when row `tid` was not clear.
+    dirty_rows: u64,
 }
 
-/// Durably clears every thread's row (end of recovery). Rows that are
-/// already clear, those of thread slots never registered, are only read:
-/// rewriting and persisting all [`MAX_THREADS`] rows took ~120 µs per
-/// shard of a ~1 ms recovery (10,000 items over two shards, 2-vCPU VM).
-pub fn clear_all(pool: &PmemPool, flusher: &mut Flusher) {
-    for tid in 0..MAX_THREADS {
-        let row = row_addr(pool, tid);
-        if !row_is_clear(pool, row) {
-            clear_row(pool, row, flusher);
+const _: () = assert!(MAX_THREADS <= u64::BITS as usize, "one dirty-row bit per thread");
+
+impl ScanSet {
+    /// Reads every thread's row once.
+    pub fn read(pool: &PmemPool) -> Self {
+        let mut pages = Vec::new();
+        let mut full_scan = false;
+        let mut dirty_rows = 0;
+        for tid in 0..MAX_THREADS {
+            let row = row_addr(pool, tid);
+            if row_is_clear(pool, row) {
+                continue;
+            }
+            dirty_rows |= 1 << tid;
+            full_scan |= pool.atomic_u64(row).load(Ordering::Acquire) & ALL_ACTIVE != 0;
+            let entries = pool.atomic_words(row + 8, APT_CAP);
+            pages.extend(entries.iter().map(|e| e.load(Ordering::Acquire) as usize));
+            pages.extend(row_lease_pages(pool, row));
         }
+        pages.retain(|&p| p != 0);
+        pages.sort_unstable();
+        pages.dedup();
+        Self { pages: (!full_scan).then_some(pages), dirty_rows }
+    }
+
+    /// The pages to scan, sorted; `None` means every heap page.
+    pub fn pages(&self) -> Option<&[usize]> {
+        self.pages.as_deref()
+    }
+
+    /// Whether the leak scan covers `page` (always, for a full scan).
+    pub fn covers(&self, page: usize) -> bool {
+        self.pages.as_ref().map_or(true, |p| p.binary_search(&page).is_ok())
+    }
+
+    /// The threads whose rows were found in use.
+    pub(crate) fn dirty_tids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..MAX_THREADS).filter(|&tid| self.dirty_rows & (1 << tid) != 0)
+    }
+}
+
+/// Durably clears every thread's row that `scan` found in use (end of
+/// recovery); rows it found clear, those of thread slots never
+/// registered, are neither read again nor rewritten. Rewriting and
+/// persisting all [`MAX_THREADS`] rows took ~120 µs per shard of a
+/// ~1 ms recovery (10,000 items over two shards, 2-vCPU VM).
+pub fn clear_all(pool: &PmemPool, scan: &ScanSet, flusher: &mut Flusher) {
+    for tid in scan.dirty_tids() {
+        clear_row(pool, row_addr(pool, tid), flusher);
     }
 }
 
@@ -423,8 +455,7 @@ mod tests {
         apt.ensure_active(0x20_000, Activity::Unlink, 1, &mut f).unwrap();
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
-        let pages = active_pages(&pool).unwrap();
-        assert_eq!(pages, vec![0x10_000, 0x20_000]);
+        assert_eq!(ScanSet::read(&pool).pages(), Some(&[0x10_000, 0x20_000][..]));
     }
 
     #[test]
@@ -458,7 +489,9 @@ mod tests {
         apt.set_all_active(&mut f);
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
-        assert!(active_pages(&pool).is_none(), "ALL_ACTIVE forces full scan");
+        let scan = ScanSet::read(&pool);
+        assert!(scan.pages().is_none(), "ALL_ACTIVE forces full scan");
+        assert!(scan.covers(PAGE_SIZE * 7), "a full scan covers every page");
     }
 
     #[test]
@@ -479,14 +512,18 @@ mod tests {
         apt.ensure_active(0x10_000, Activity::Alloc, 1, &mut f).unwrap();
         // A lease word alone also makes a row dirty.
         pool.atomic_u64(lease_slot(&pool, 5, 0)).store(0x20_000, Ordering::Release);
+        let scan = ScanSet::read(&pool);
+        assert_eq!(scan.pages(), Some(&[0x10_000, 0x20_000][..]));
+        assert_eq!(scan.dirty_tids().collect::<Vec<_>>(), vec![0, 5]);
         let before = f.stats().clwbs;
-        clear_all(&pool, &mut f);
-        assert_eq!(active_pages(&pool).unwrap(), Vec::<usize>::new());
+        clear_all(&pool, &scan, &mut f);
+        assert_eq!(ScanSet::read(&pool).pages(), Some(&[][..]));
         assert!(row_is_clear(&pool, row_addr(&pool, 5)));
         // Only the two dirty rows are rewritten and written back.
         assert_eq!(f.stats().clwbs - before, 2 * ROW_USED.div_ceil(64) as u64);
+        let scan = ScanSet::read(&pool);
         let before = f.stats().clwbs;
-        clear_all(&pool, &mut f);
+        clear_all(&pool, &scan, &mut f);
         assert_eq!(f.stats().clwbs, before, "clear rows are only read");
     }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use pmem::{CrashEvent, Flusher, PmemPool};
 
-use crate::apt::{self, ActivePageTable, Activity, AptStats};
+use crate::apt::{self, ActivePageTable, Activity, AptStats, ScanSet};
 use crate::epoch::{EpochManager, EpochVector};
 use crate::heap::{
     class_of, page_of, reaches_relist, relist_at, slots_in_class, NvHeap, OutOfMemory, PageHeader,
@@ -119,17 +119,32 @@ impl NvDomain {
     ///
     /// Must be called after a crash with no concurrent activity, before
     /// new operations start.
-    pub fn recover_leaks(&self, mut reachable: impl FnMut(usize) -> bool) -> RecoveryReport {
+    pub fn recover_leaks(&self, reachable: impl FnMut(usize) -> bool) -> RecoveryReport {
+        self.recover_leaks_in(&ScanSet::read(&self.pool), reachable)
+    }
+
+    /// [`Self::recover_leaks`] over a scan set the caller already read
+    /// (with [`ScanSet::read`], after the crash and before any
+    /// allocation), so that a recovery reads the APT rows once: the
+    /// caller can use the same set to decide which nodes' reachability
+    /// it must record while it repairs the structure.
+    pub fn recover_leaks_in(
+        &self,
+        scan: &ScanSet,
+        mut reachable: impl FnMut(usize) -> bool,
+    ) -> RecoveryReport {
         let mut flusher = self.pool.flusher();
         let mut report = RecoveryReport::default();
-        let pages: Vec<usize> = match apt::active_pages(&self.pool) {
+        let heap_pages;
+        let pages = match scan.pages() {
             Some(p) => p,
             None => {
                 report.used_full_scan = true;
-                self.heap.pages().into_iter().map(|(p, _)| p).collect()
+                heap_pages = self.heap.pages().into_iter().map(|(p, _)| p).collect::<Vec<_>>();
+                &heap_pages
             }
         };
-        for page in pages {
+        for &page in pages {
             let Some(class) = PageHeader::read_class(&self.pool, page) else {
                 // The page was recorded active but its header never became
                 // durable: it holds no durably-linked node, reformat later.
@@ -154,10 +169,11 @@ impl NvDomain {
             flusher.clwb(page);
         }
         // Intent slots (MemMode::IntentLog): each names at most one node
-        // whose alloc/unlink was in flight at the crash.
-        for tid in 0..crate::epoch::MAX_THREADS {
+        // whose alloc/unlink was in flight at the crash. Only rows in use
+        // can hold one.
+        for tid in scan.dirty_tids() {
             for which in 0..2 {
-                let slot = crate::apt::intent_slot(&self.pool, tid, which);
+                let slot = apt::intent_slot(&self.pool, tid, which);
                 let addr = self.pool.atomic_u64(slot).load(Ordering::Acquire) as usize;
                 if addr == 0 {
                     continue;
@@ -184,7 +200,7 @@ impl NvDomain {
             }
         }
         flusher.fence();
-        apt::clear_all(&self.pool, &mut flusher);
+        apt::clear_all(&self.pool, scan, &mut flusher);
         report
     }
 

@@ -25,7 +25,7 @@ pub mod epoch;
 pub mod heap;
 pub mod tlab;
 
-pub use apt::{ActivePageTable, Activity, AptStats, APT_CAP, APT_TRIM_THRESHOLD};
+pub use apt::{ActivePageTable, Activity, AptStats, ScanSet, APT_CAP, APT_TRIM_THRESHOLD};
 pub use domain::{MemMode, NvDomain, RecoveryReport, ThreadCtx, GENERATION_SIZE};
 pub use epoch::{EpochManager, EpochVector, MAX_THREADS};
 pub use heap::{

@@ -33,11 +33,11 @@ impl EvictQueue {
         Self { queue: Mutex::new(VecDeque::new()), items: AtomicU64::new(0) }
     }
 
-    /// Rebuilds the queue from a recovered key set (recovery path).
-    pub fn rebuild(keys: impl IntoIterator<Item = u64>) -> Self {
-        let queue: VecDeque<u64> = keys.into_iter().collect();
-        let items = AtomicU64::new(queue.len() as u64);
-        Self { queue: Mutex::new(queue), items }
+    /// Rebuilds the queue from the recovered keys, one entry per live
+    /// item (recovery path).
+    pub fn rebuild(keys: Vec<u64>) -> Self {
+        let items = AtomicU64::new(keys.len() as u64);
+        Self { queue: Mutex::new(VecDeque::from(keys)), items }
     }
 
     /// Current (approximate under concurrency) item count.
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn rebuild_counts_recovered_keys() {
-        let q = EvictQueue::rebuild([7, 8, 9]);
+        let q = EvictQueue::rebuild(vec![7, 8, 9]);
         assert_eq!(q.len(), 3);
     }
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use linkcache::LinkCache;
 use logfree::{HashTable, LinkOps};
-use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use nvalloc::{page_of, NvDomain, OutOfMemory, RecoveryReport, ScanSet, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{Flusher, PmemPool};
 
@@ -50,6 +50,13 @@ pub use crate::sharded::{GeometryError, Router, ShardedCtx, ShardedNvMemcached};
 
 /// Root-directory slot used by the NV-Memcached hash table.
 pub const NVMC_ROOT: usize = 8;
+
+/// Root-directory slot recording whether the cache runs with a link
+/// cache: 1 if it does, 0 (the word of a fresh pool) if it does not.
+/// Written at `create`, before the table is published, so a recovered
+/// cache serves with the link cache (and the flush hook) it was created
+/// with.
+pub const LINK_CACHE_ROOT: usize = 11;
 
 /// Auto-grow threshold: when the (approximate) item count exceeds this
 /// many items per bucket, `set`/`add` kick off an incremental grow.
@@ -86,10 +93,8 @@ impl NvMemcached {
         use_link_cache: bool,
     ) -> Result<Self, OutOfMemory> {
         let domain = NvDomain::create(Arc::clone(&pool));
-        let lc = use_link_cache.then(|| {
-            Arc::new(LinkCache::with_default_size(Arc::clone(&pool), logfree::marked::DIRTY))
-        });
-        let ops = LinkOps::new(Arc::clone(&pool), lc);
+        pool.set_root(LINK_CACHE_ROOT, u64::from(use_link_cache), &mut pool.flusher());
+        let ops = link_ops(&pool, use_link_cache);
         let table = HashTable::create(&domain, NVMC_ROOT, n_buckets, ops)?;
         Ok(Self { domain, table, capacity, evict: EvictQueue::new() })
     }
@@ -99,22 +104,53 @@ impl NvMemcached {
     /// scan of §6.5). A resize caught in flight by the crash is rolled
     /// forward to completion before the cache is returned, so callers
     /// always get a steady-state table. Returns the recovery report.
+    ///
+    /// The chains are walked once: the walk repairs them and yields every
+    /// live node, whose address answers the leak scan's reachability
+    /// question and whose key goes to the eviction queue.
     pub fn recover(pool: Arc<PmemPool>, capacity: usize) -> (Self, RecoveryReport) {
         let domain = NvDomain::attach(Arc::clone(&pool));
-        let ops = LinkOps::new(Arc::clone(&pool), None);
+        let ops = link_ops(&pool, pool.root(LINK_CACHE_ROOT) != 0);
         let table = HashTable::attach(&domain, NVMC_ROOT, ops);
-        let mut flusher = pool.flusher();
-        table.recover(&mut flusher);
-        // Leak scan before any allocation; the oracle consults both
-        // bucket arrays of a mid-resize image.
-        let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
+        let resizing = table.resize_in_flight();
+        let scan = ScanSet::read(&pool);
+        let mut keys = Vec::new();
+        let mut reachable = Vec::new();
+        table.recover_visit(&mut pool.flusher(), |addr, key| {
+            keys.push(key);
+            if scan.covers(page_of(addr)) {
+                reachable.push(addr);
+            }
+        });
+        reachable.sort_unstable();
+        // Leak scan before any allocation. The walk covered both bucket
+        // arrays of a mid-resize image; a slot outside the scan set (an
+        // intent slot's node) is looked up in the table instead.
+        let report = domain.recover_leaks_in(&scan, |addr| {
+            if scan.covers(page_of(addr)) {
+                reachable.binary_search(&addr).is_ok()
+            } else {
+                table.contains_node_at(addr)
+            }
+        });
+        drop(reachable);
         let mut ctx = domain.register();
         table.finish_resize(&mut ctx).expect("recovered pool has room to finish its resize");
         ctx.drain_all();
         table.sweep_orphan_regions(&mut ctx);
         drop(ctx);
-        let evict = EvictQueue::rebuild(table.snapshot().iter().map(|&(k, _)| k));
+        if resizing {
+            // A key mid-move was linked in both arrays.
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        let evict = EvictQueue::rebuild(keys);
         (Self { domain, table, capacity, evict }, report)
+    }
+
+    /// Whether the cache runs with a link cache.
+    pub fn has_link_cache(&self) -> bool {
+        self.table.ops().link_cache().is_some()
     }
 
     /// The allocation domain (register worker threads here).
@@ -262,6 +298,14 @@ impl NvMemcached {
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         self.table.snapshot()
     }
+}
+
+/// The persistence engine of a cache over `pool`, with or without a link
+/// cache.
+fn link_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
+    let lc = use_link_cache
+        .then(|| Arc::new(LinkCache::with_default_size(Arc::clone(pool), logfree::marked::DIRTY)));
+    LinkOps::new(Arc::clone(pool), lc)
 }
 
 /// Stock Memcached model: one global lock around a sequential hash table
@@ -502,6 +546,52 @@ mod tests {
         assert_eq!(mc2.len(), 300);
         mc2.set(&mut ctx, 9999, 1).unwrap();
         assert_eq!(mc2.get(&mut ctx, 9999), Some(1));
+    }
+
+    #[test]
+    fn recovery_keeps_the_link_cache_setting() {
+        for use_link_cache in [false, true] {
+            let pool =
+                PoolBuilder::new(32 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
+            {
+                let mc =
+                    NvMemcached::create(Arc::clone(&pool), 64, 100_000, use_link_cache).unwrap();
+                assert_eq!(mc.has_link_cache(), use_link_cache);
+                let mut ctx = mc.register();
+                for k in 1..=300u64 {
+                    mc.set(&mut ctx, k, k).unwrap();
+                }
+                mc.quiesce(&mut ctx.flusher);
+            }
+            // SAFETY: no threads are running.
+            unsafe { pool.simulate_crash().unwrap() };
+            let (mc2, _) = NvMemcached::recover(Arc::clone(&pool), 100_000);
+            assert_eq!(mc2.has_link_cache(), use_link_cache, "link cache {use_link_cache}");
+            // The recovered cache serves (through its link cache, if any)
+            // and survives a second crash whole and leak-free.
+            {
+                let mut ctx = mc2.register();
+                for k in 1..=100u64 {
+                    mc2.delete(&mut ctx, k);
+                }
+                for k in 301..=400u64 {
+                    mc2.set(&mut ctx, k, k).unwrap();
+                }
+                mc2.quiesce(&mut ctx.flusher);
+                ctx.drain_all();
+            }
+            drop(mc2);
+            // SAFETY: no threads are running.
+            unsafe { pool.simulate_crash().unwrap() };
+            let (mc3, report) = NvMemcached::recover(Arc::clone(&pool), 100_000);
+            assert_eq!(mc3.has_link_cache(), use_link_cache);
+            assert_eq!(report.leaks_freed, 0, "link cache {use_link_cache}");
+            let mut ctx = mc3.register();
+            for k in 1..=400u64 {
+                assert_eq!(mc3.get(&mut ctx, k), (k > 100).then_some(k), "key {k}");
+            }
+            assert_eq!(mc3.len(), 300);
+        }
     }
 
     #[test]

@@ -319,7 +319,7 @@ impl ShardedNvMemcached {
                 Arc::clone(pool),
                 n_buckets,
                 per_shard_capacity,
-                self.use_link_cache,
+                top.shards[0].has_link_cache(),
             )?;
             let mut flusher = pool.flusher();
             pool.set_root(
@@ -532,7 +532,7 @@ pub(crate) fn recover_versioned(
             return Err(GeometryError::TornReshard { old, new, cursor, version });
         }
         let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity);
-        let cache = ShardedNvMemcached::assemble(shards, lo, router, cache_id, capacity, false);
+        let cache = ShardedNvMemcached::assemble(shards, lo, router, cache_id, capacity);
         return Ok((cache, report));
     }
 
@@ -594,7 +594,7 @@ pub(crate) fn recover_versioned(
         );
     }
 
-    let cache = ShardedNvMemcached::assemble(new_shards, hi, router, cache_id, capacity, false);
+    let cache = ShardedNvMemcached::assemble(new_shards, hi, router, cache_id, capacity);
     Ok((cache, report))
 }
 

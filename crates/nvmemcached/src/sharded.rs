@@ -361,7 +361,6 @@ pub struct ShardedNvMemcached {
     pub(crate) gen: AtomicU64,
     pub(crate) cache_id: u32,
     pub(crate) capacity: usize,
-    pub(crate) use_link_cache: bool,
 }
 
 impl std::fmt::Debug for ShardedNvMemcached {
@@ -487,7 +486,7 @@ impl ShardedNvMemcached {
             );
             shards.push(shard);
         }
-        Ok(Self::assemble(shards, 1, router, cache_id, capacity, use_link_cache))
+        Ok(Self::assemble(shards, 1, router, cache_id, capacity))
     }
 
     pub(crate) fn assemble(
@@ -496,7 +495,6 @@ impl ShardedNvMemcached {
         router: Router,
         cache_id: u32,
         capacity: usize,
-        use_link_cache: bool,
     ) -> Self {
         let requests = new_tallies(shards.len());
         let topology = Topology { version, router, shards: shards.into(), requests, flight: None };
@@ -505,7 +503,6 @@ impl ShardedNvMemcached {
             gen: AtomicU64::new(0),
             cache_id,
             capacity,
-            use_link_cache,
         }
     }
 

@@ -37,16 +37,19 @@
 //! With [`ServerConfig::event_loop`] unset (or on targets where
 //! [`sys::SUPPORTED`] is false) the server keeps the original model:
 //! each worker blocks in `accept`, serves its connection to completion
-//! with one per-connection context, and polls the stop flag through a
+//! with its one worker context, and polls the stop flag through a
 //! read timeout. One worker serves one connection at a time — callers
 //! expecting `C` concurrent connections must size
 //! [`ServerConfig::workers`] to at least `C` in this mode.
 //!
-//! In both modes, once every worker has joined, the cache is
+//! In both modes a worker that stops serving waits at a barrier until
+//! every worker has stopped, then frees its context's deferred
+//! retirements (freeing them earlier could pull a node from under
+//! another worker's read). Once every worker has joined, the cache is
 //! [quiesced](ShardedNvMemcached::quiesce) — a durability barrier over
 //! every shard pool — before the `Arc` is handed back, so a caller
 //! that immediately drops (or crash-captures) the pools observes a
-//! clean durable image.
+//! clean durable image with nothing left for recovery to free.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -54,7 +57,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -181,11 +184,13 @@ impl Server {
         let event_loop = cfg.event_loop && sys::SUPPORTED;
         let mut workers = Vec::with_capacity(n_workers);
         let mut wakers = Vec::new();
+        let stopped = Arc::new(Barrier::new(n_workers));
         for _ in 0..n_workers {
             let listener = listener.try_clone()?;
             let cache = Arc::clone(&cache);
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
+            let stopped = Arc::clone(&stopped);
             if event_loop {
                 // All registration that can fail happens here, so a
                 // misconfigured host errors out of `start` instead of
@@ -204,12 +209,14 @@ impl Server {
                 wakers.push(wake_tx);
                 let caps = (cfg.read_cap, cfg.write_cap);
                 workers.push(std::thread::spawn(move || {
-                    event_worker(ep, listener, wake_rx, &cache, &stop, &stats, caps);
+                    let mut ctx = WorkerCtx { ctx: cache.register(), stopped };
+                    event_worker(ep, listener, wake_rx, &cache, &mut ctx.ctx, &stop, &stats, caps);
                 }));
             } else {
                 let poll = cfg.poll;
                 workers.push(std::thread::spawn(move || {
-                    blocking_worker(&listener, &cache, &stop, &stats, poll);
+                    let mut ctx = WorkerCtx { ctx: cache.register(), stopped };
+                    blocking_worker(&listener, &cache, &mut ctx.ctx, &stop, &stats, poll);
                 }));
             }
         }
@@ -255,6 +262,27 @@ impl Server {
     }
 }
 
+/// A worker's allocator contexts. Dropping it, once the worker stops
+/// serving, waits until every worker has stopped and then frees the
+/// contexts' deferred retirements: `drain_all` is only safe once no
+/// other worker can still be reading a retired node. Without the drain
+/// the retirements stayed allocated-but-unreachable in the image, for
+/// every recovery to find and free. The wait runs on unwinding too, so
+/// a panicking worker cannot leave the others stuck at the barrier.
+struct WorkerCtx {
+    ctx: ShardedCtx,
+    stopped: Arc<Barrier>,
+}
+
+impl Drop for WorkerCtx {
+    fn drop(&mut self) {
+        self.stopped.wait();
+        if !std::thread::panicking() {
+            self.ctx.drain_all();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Event-driven worker
 // ---------------------------------------------------------------------------
@@ -294,16 +322,17 @@ impl Conn<'_> {
 
 /// The readiness loop: one epoll instance, one `ShardedCtx`, many
 /// connections.
+#[allow(clippy::too_many_arguments)]
 fn event_worker(
     ep: Epoll,
     listener: TcpListener,
     wake_rx: UnixStream,
     cache: &ShardedNvMemcached,
+    ctx: &mut ShardedCtx,
     stop: &AtomicBool,
     stats: &Arc<ServerStats>,
     (read_cap, write_cap): (Option<usize>, Option<usize>),
 ) {
-    let mut ctx = cache.register();
     let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events = [EpollEvent::default(); 64];
@@ -334,13 +363,13 @@ fn event_worker(
                     let alive = serve_ready(
                         conn,
                         ev.events(),
-                        &mut ctx,
+                        ctx,
                         stats,
                         &mut rbuf,
                         (read_cap, write_cap),
                     );
                     if !alive {
-                        close_conn(conns.remove(&token).expect("present"), &mut ctx, stats);
+                        close_conn(conns.remove(&token).expect("present"), ctx, stats);
                     } else {
                         update_interest(&ep, conns.get_mut(&token).expect("present"), token);
                     }
@@ -355,7 +384,7 @@ fn event_worker(
     // then close. (Dropping the sockets deregisters them from epoll.)
     for (_, mut conn) in conns.drain() {
         let _ = flush_session(&mut conn.stream, &mut conn.session, stats, write_cap);
-        close_conn(conn, &mut ctx, stats);
+        close_conn(conn, ctx, stats);
     }
 }
 
@@ -535,6 +564,7 @@ pub(crate) fn flush_pending(
 fn blocking_worker(
     listener: &TcpListener,
     cache: &ShardedNvMemcached,
+    ctx: &mut ShardedCtx,
     stop: &AtomicBool,
     stats: &Arc<ServerStats>,
     poll: Duration,
@@ -549,7 +579,8 @@ fn blocking_worker(
                     return;
                 }
                 stats.on_accept();
-                serve_blocking(stream, cache, stop, stats, poll);
+                serve_blocking(stream, cache, ctx, stop, stats, poll);
+                ctx.flush_tallies();
                 stats.on_close();
             }
             // Transient accept errors don't take the worker down.
@@ -563,6 +594,7 @@ fn blocking_worker(
 fn serve_blocking(
     stream: TcpStream,
     cache: &ShardedNvMemcached,
+    ctx: &mut ShardedCtx,
     stop: &AtomicBool,
     stats: &Arc<ServerStats>,
     poll: Duration,
@@ -571,9 +603,6 @@ fn serve_blocking(
     if stream.set_read_timeout(Some(poll)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
-    // The blocking model's context is per-connection: the thread *is*
-    // the connection for its whole lifetime.
-    let mut ctx = cache.register();
     let mut session = Session::with_stats(cache, Arc::clone(stats));
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -584,7 +613,7 @@ fn serve_blocking(
             Ok(0) => return,
             Ok(n) => {
                 stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                let keep_open = session.input(&buf[..n], &mut ctx);
+                let keep_open = session.input(&buf[..n], ctx);
                 // Blocking socket: WouldBlock can't happen, but short
                 // writes can — loop until the whole batch drained.
                 while !session.output().is_empty() {

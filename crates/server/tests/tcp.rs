@@ -491,3 +491,66 @@ fn slow_client_backpressure_neither_wedges_nor_drops() {
     drop((slow_w, slow_r));
     server.shutdown();
 }
+
+/// Serves sets, upserts and deletes in `event_loop` mode, shuts the
+/// server down gracefully, cuts the durable image and restarts it.
+/// Returns the restart's count of freed leaks.
+fn leaks_freed_after_graceful_shutdown(event_loop: bool) -> u64 {
+    let pools: Vec<_> = (0..2)
+        .map(|_| {
+            PoolBuilder::new(16 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build()
+        })
+        .collect();
+    let cache = Arc::new(ShardedNvMemcached::create(&pools, 64, 10_000, true).expect("pool sized"));
+    let cfg = ServerConfig { workers: Some(2), event_loop, ..ServerConfig::default() };
+    let server = Server::start(cache, cfg).expect("bind loopback");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    // Every key set twice (the second set retires the first node), then
+    // a third of them deleted: retirements a shutdown must free.
+    let mut burst = Vec::new();
+    for round in 1..=2u64 {
+        for k in 1..=150u64 {
+            let data = (k * round).to_string();
+            burst.extend_from_slice(
+                format!("set {k} 0 0 {} noreply\r\n{data}\r\n", data.len()).as_bytes(),
+            );
+        }
+    }
+    for k in (3..=150u64).step_by(3) {
+        burst.extend_from_slice(format!("delete {k} noreply\r\n").as_bytes());
+    }
+    burst.extend_from_slice(b"get 1\r\nquit\r\n");
+    w.write_all(&burst).unwrap();
+    assert_eq!(read_line(&mut reader), "VALUE 1 0 1");
+    assert_eq!(read_line(&mut reader), "2");
+    assert_eq!(read_line(&mut reader), "END");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("server closes after quit");
+
+    let cache = server.shutdown();
+    cache.quiesce();
+    let images: Vec<_> =
+        pools.iter().map(|p| p.capture_crash_image().expect("crash-sim pool")).collect();
+    drop(cache);
+    for (pool, image) in pools.iter().zip(&images) {
+        // SAFETY: the server has joined and the cache is dropped, so
+        // nothing touches the pools.
+        unsafe { pool.crash_to_image(image) }.expect("crash-sim pool");
+    }
+    let (cache, report) = ShardedNvMemcached::recover(&pools, 10_000).expect("recoverable");
+    assert_eq!(cache.len(), 100, "event loop {event_loop}");
+    report.leaks_freed
+}
+
+/// A worker's context frees its deferred retirements once every worker
+/// has stopped serving, so a gracefully shut down server leaves an image
+/// with nothing allocated-but-unreachable — in both serving models.
+#[test]
+fn graceful_shutdown_leaves_no_leaks_for_recovery() {
+    if server::sys::SUPPORTED {
+        assert_eq!(leaks_freed_after_graceful_shutdown(true), 0, "event loop");
+    }
+    assert_eq!(leaks_freed_after_graceful_shutdown(false), 0, "blocking fallback");
+}
